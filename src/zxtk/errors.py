@@ -11,6 +11,10 @@ class ArityError(ZxError):
     """A generator or wiring operation got an impossible arity."""
 
 
+class ConfigError(ZxError, ValueError):
+    """A setting read from the environment has an unusable value."""
+
+
 class DiagramError(ZxError):
     """A diagram violates a structural invariant (bad edge incidences)."""
 

@@ -15,6 +15,16 @@ mixed-process tokens two (see `ground`).  The rule table is a
 parameter.  Seeds are allowed to start with collision pairs on an edge
 (that is how whole-matrix extraction is seeded); collisions only fire
 after the first diffusion, which consumes half of the pair.
+
+Collision invariant: the state after every step is collision-free.
+The first step collides every term of the seed; after that a pair can
+only appear in a branch term the step's diffusion just emitted, so
+`normalize` collides those terms alone.  It also keeps the active sites
+of every live term in canonical order across steps.  A step therefore
+costs one copy of the term dict (each step's state is kept in the
+trace) plus work proportional to the terms it touches: the consumed
+term and its branches.  The scheduler still scans the sites it is
+offered.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import cmath
 import math
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -41,6 +52,7 @@ from .diagram import (
     vertex_of,
 )
 from .errors import (
+    ConfigError,
     DiagramError,
     FuseExceeded,
     GroundNotAllowed,
@@ -273,6 +285,15 @@ def _remove_one(term: Term, token: Token) -> tuple[Token, ...]:
     return term[:i] + term[i + 1 :]
 
 
+_RULE_NAMES = {
+    GenKind.Z: "green-diffusion",
+    GenKind.H: "hadamard-diffusion",
+    GenKind.CUP: "cup-diffusion",
+    GenKind.CAP: "cap-diffusion",
+    GenKind.GROUND: "trace-out",
+}
+
+
 def _apply_rule(d: Diagram, token: Token, rules: RuleTable) -> tuple[int, str, list[Branch]]:
     """Run the diffusion rule for `token`; returns (gen index, rule name, branches)."""
     if len(token.bits) != rules.bit_width:
@@ -284,14 +305,7 @@ def _apply_rule(d: Diagram, token: Token, rules: RuleTable) -> tuple[int, str, l
         raise DiagramError(f"token {token} points at boundary slot {endpoint}; nothing to diffuse")
     _, gi, port_side, port = endpoint
     g = d.generators[gi]
-    names = {
-        GenKind.Z: "green-diffusion",
-        GenKind.H: "hadamard-diffusion",
-        GenKind.CUP: "cup-diffusion",
-        GenKind.CAP: "cap-diffusion",
-        GenKind.GROUND: "trace-out",
-    }
-    return gi, names[g.kind], rules.diffuse(g, g.kind, port_side, port, token)
+    return gi, _RULE_NAMES[g.kind], rules.diffuse(g, g.kind, port_side, port, token)
 
 
 def diffuse_once(
@@ -300,10 +314,14 @@ def diffuse_once(
     site: tuple[Term, Token],
     *,
     rules: RuleTable = PURE_RULES,
+    branches: Sequence[Branch] | None = None,
 ) -> TokenState:
     """Apply one diffusion at (term, token), inside that term only.
 
     No collisions are performed; see `step` for the full machine move.
+    `branches` is the rule's output for the token, for a caller that
+    has already run the rule.  Only the branch terms are summed and
+    pruned; every other term keeps its coefficient.
     """
     term, token = site
     term = term_key(term)
@@ -312,13 +330,20 @@ def diffuse_once(
         raise DiagramError("site term is not present in the state")
     if token not in term:
         raise DiagramError(f"token {token} is not in the chosen term")
-    _, _, branches = _apply_rule(d, token, rules)
+    if branches is None:
+        _, _, branches = _apply_rule(d, token, rules)
     rest = _remove_one(term, token)
-    out = {k: v for k, v in s.terms.items() if k != term}
-    pairs = [(v, k) for k, v in out.items()]
-    for factor, emitted in branches:
-        pairs.append((coeff * factor, rest + emitted))
-    return TokenState(pairs)
+    terms = dict(s.terms)
+    del terms[term]
+    keys = [term_key(rest + emitted) for _, emitted in branches]
+    for (factor, _), key in zip(branches, keys):
+        terms[key] = terms.get(key, 0j) + complex(coeff * factor)
+    for key in keys:
+        if key in terms and abs(terms[key]) <= PRUNE_EPS:
+            del terms[key]
+    out = TokenState.__new__(TokenState)
+    out.terms = terms
+    return out
 
 
 # collision record: (edge, down token, up token, bits matched?)
@@ -374,10 +399,85 @@ def _collide_all_recorded(s: TokenState) -> tuple[TokenState, tuple[Collision, .
     return TokenState(pairs), tuple(records)
 
 
+def _meets_opposite(term: Term, tokens: Iterable[Token]) -> bool:
+    """True when `term` holds an opposite-direction token on the edge of one of `tokens`."""
+    for token in tokens:
+        probe = (token.edge, token.direction.flipped)
+        at = bisect_left(term, probe)
+        if at < len(term) and term[at][:2] == probe:
+            return True
+    return False
+
+
+def _collide_dirty(
+    terms: dict[Term, complex], dirty: Iterable[Term]
+) -> tuple[tuple[Collision, ...], list[Term]]:
+    """Collide, in place, the terms of `dirty` that hold a pair.
+
+    Gives the coefficients, records and key order that a whole-state
+    pass (`_collide_all_recorded`) would: that pass rebuilds the dict in
+    order, so the keys before the first colliding one keep their place
+    and only the keys from there to the end are re-added.  Once the state
+    is collision-free, colliding keys are new branch terms at the end of
+    the dict, so that tail is a handful of keys.  Returns the records and
+    every key re-added or created.
+    """
+    hits = {}
+    for key in dirty:
+        if key in terms and key not in hits:
+            hit = _collide_term(key)
+            if hit[2]:
+                hits[key] = hit
+    if not hits:
+        return (), []
+    tail: list[Term] = []
+    left = len(hits)
+    for key in reversed(terms):
+        tail.append(key)
+        if key in hits:
+            left -= 1
+            if not left:
+                break
+    tail.reverse()
+    coeffs = [terms.pop(key) for key in tail]
+    records: list[Collision] = []
+    added: list[Term] = []
+    for key, coeff in zip(tail, coeffs):
+        factor, survivor, recs = hits.get(key, (1.0 + 0j, key, ()))
+        records.extend(recs)
+        if factor != 0:
+            terms[survivor] = terms.get(survivor, 0j) + complex(coeff * factor)
+            added.append(survivor)
+    for key in added:
+        if key in terms and abs(terms[key]) <= PRUNE_EPS:
+            del terms[key]
+    return tuple(records), tail + added
+
+
 # -- schedulers -------------------------------------------------------------
 
 Site = tuple[Term, Token]
 Strategy = Callable[[Diagram, TokenState, Sequence[Site]], Site]
+
+
+def _frozen_table(d: Diagram) -> dict[tuple[str, Dir], bool]:
+    """(edge, direction) -> True when a token there points at a boundary slot."""
+    return {
+        (e, direction): is_frozen(d, Token(e, direction, ()))
+        for e in d.edge_order
+        for direction in Dir
+    }
+
+
+def _term_sites(term: Term, frozen: Mapping[tuple[str, Dir], bool]) -> tuple[Site, ...]:
+    """The term's diffusible sites; duplicate tokens of a multiset share one."""
+    sites = []
+    previous = None
+    for token in term:
+        if token != previous and not frozen[token[:2]]:
+            sites.append((term, token))
+        previous = token
+    return tuple(sites)
 
 
 def _active_sites(d: Diagram, s: TokenState) -> list[Site]:
@@ -418,6 +518,17 @@ def _depth_map(d: Diagram) -> dict[int, int]:
     return depth
 
 
+def _slice_ranks(d: Diagram) -> dict[tuple[str, Dir], int]:
+    """(edge, direction) -> depth of the generator a token there enters."""
+    depth = _depth_map(d)
+    targets = {
+        (e, direction): _target_endpoint(d, Token(e, direction, ()))
+        for e in d.edge_order
+        for direction in Dir
+    }
+    return {slot: depth[end[1]] for slot, end in targets.items() if end[0] == "gen"}
+
+
 def make_strategy(spec: "str | Strategy") -> Strategy:
     """Build a scheduler from its name.
 
@@ -426,26 +537,32 @@ def make_strategy(spec: "str | Strategy") -> Strategy:
     sparse-first         smallest term first, ties lexicographic
     slice-order          sweep generators top to bottom, mimicking
                          slice-by-slice evaluation of the matrix
+
+    The machine offers sites in canonical order and `min` keeps the
+    first of equal keys, so the ranked schedulers break ties
+    lexicographically without comparing sites.
     """
     if callable(spec):
         return spec
     if spec == "deterministic":
         return lambda d, s, sites: sites[0]
     if spec == "random" or spec.startswith("random:"):
-        seed = int(spec.split(":", 1)[1]) if ":" in spec else 0
+        try:
+            seed = int(spec.split(":", 1)[1]) if ":" in spec else 0
+        except ValueError:
+            raise DiagramError(f"scheduler {spec!r} wants an integer seed after 'random:'") from None
         rng = random.Random(seed)
         return lambda d, s, sites: sites[rng.randrange(len(sites))]
     if spec == "sparse-first":
-        return lambda d, s, sites: min(sites, key=lambda site: (len(site[0]),) + site)
+        return lambda d, s, sites: min(sites, key=lambda site: len(site[0]))
     if spec == "slice-order":
+        memo: list = [None, {}]  # the last diagram seen and its ranks
+
         def pick(d: Diagram, s: TokenState, sites: Sequence[Site]) -> Site:
-            depth = _depth_map(d)
-
-            def rank(site: Site):
-                endpoint = _target_endpoint(d, site[1])
-                return (depth[endpoint[1]],) + site
-
-            return min(sites, key=rank)
+            if memo[0] is not d:
+                memo[:] = [d, _slice_ranks(d)]
+            rank = memo[1]
+            return min(sites, key=lambda site: rank[site[1][:2]])
 
         return pick
     raise DiagramError(f"unknown scheduler {spec!r}")
@@ -515,31 +632,67 @@ class Trace:
         return len(self.steps)
 
 
-def _step_recorded(
-    d: Diagram,
-    s: TokenState,
-    strategy: Strategy,
-    rules: RuleTable,
-    index: int,
-) -> tuple[TokenState, TraceStep]:
-    sites = _active_sites(d, s)
-    if not sites:
-        raise NormalFormReached("every token points at a boundary slot")
-    term, token = strategy(d, s, sites)
-    gi, rule_name, branches = _apply_rule(d, token, rules)
-    diffused = diffuse_once(d, s, (term, token), rules=rules)
-    after, collisions = _collide_all_recorded(diffused)
-    record = TraceStep(
-        index=index,
-        rule=rule_name,
-        gen_index=gi,
-        term=term,
-        token=token,
-        produced=tuple(branches),
-        collisions=collisions,
-        state_after=after,
-    )
-    return after, record
+class _Run:
+    """The machine state kept across the steps of one run.
+
+    Holds the current state, the active sites of every live term
+    (`sites_of`, and `sites` flattened in canonical order), and whether
+    the state is collision-free yet: the seed may hold pairs, so the
+    first step collides every term and later steps only their branches.
+    """
+
+    def __init__(self, d: Diagram, state: TokenState, rules: RuleTable):
+        self.d = d
+        self.rules = rules
+        self.state = state
+        self.frozen = _frozen_table(d)
+        self.sites_of: dict[Term, tuple[Site, ...]] = {}
+        self.sites: list[Site] = []
+        self._resite(state.terms, sorted(state.terms))
+        self.settled = False
+
+    def step(self, strategy: Strategy, index: int) -> TraceStep:
+        if not self.sites:
+            raise NormalFormReached("every token points at a boundary slot")
+        d, rules = self.d, self.rules
+        term, token = strategy(d, self.state, self.sites)
+        gi, rule_name, branches = _apply_rule(d, token, rules)
+        after = diffuse_once(d, self.state, (term, token), rules=rules, branches=branches)
+        rest = _remove_one(term, token)
+        touched = [term] + [term_key(rest + emitted) for _, emitted in branches]
+        if self.settled:  # rest is collision-free: a pair needs an emitted token
+            dirty = [
+                key for key, (_, emitted) in zip(touched[1:], branches) if _meets_opposite(key, emitted)
+            ]
+        else:
+            dirty = list(after.terms)
+        collisions, changed = _collide_dirty(after.terms, dirty)
+        self.settled = True
+        self._resite(after.terms, touched + changed)
+        self.state = after
+        return TraceStep(
+            index=index,
+            rule=rule_name,
+            gen_index=gi,
+            term=term,
+            token=token,
+            produced=tuple(branches),
+            collisions=collisions,
+            state_after=after,
+        )
+
+    def _resite(self, terms: dict[Term, complex], keys: Iterable[Term]) -> None:
+        """Bring the sites of `keys` in line with their presence in `terms`."""
+        for key in keys:
+            tracked = key in self.sites_of
+            if tracked == (key in terms):
+                continue
+            at = bisect_left(self.sites, (key,))
+            if tracked:
+                del self.sites[at : at + len(self.sites_of.pop(key))]
+            else:
+                self.sites_of[key] = found = _term_sites(key, self.frozen)
+                self.sites[at:at] = found
 
 
 def step(
@@ -550,8 +703,7 @@ def step(
     rules: RuleTable = PURE_RULES,
 ) -> TokenState:
     """One machine move: a scheduled diffusion, then all collisions."""
-    out, _ = _step_recorded(d, TokenState.coerce(s), make_strategy(scheduler), rules, 0)
-    return out
+    return _Run(d, TokenState.coerce(s), rules).step(make_strategy(scheduler), 0).state_after
 
 
 def _resolve_fuse(d: Diagram, s: TokenState, rules: RuleTable, fuse: int | None) -> int:
@@ -559,7 +711,13 @@ def _resolve_fuse(d: Diagram, s: TokenState, rules: RuleTable, fuse: int | None)
         return fuse
     env = os.environ.get("ZXTK_FUSE")
     if env:
-        return int(env)
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ConfigError(f"ZXTK_FUSE wants a positive step count, got {env!r}") from None
+        if limit < 1:
+            raise ConfigError(f"ZXTK_FUSE wants a positive step count, got {env!r}")
+        return limit
     n_h = sum(1 for g in d.generators if g.kind is GenKind.H)
     terms_bound = max(1, len(s.terms)) * rules.branch_factor ** min(n_h, 20)
     return 4 * max(1, len(d.generators)) * terms_bound
@@ -583,6 +741,12 @@ def normalize(
     back to exhaustive path enumeration capped at `path_budget`; past
     the cap the run proceeds guarded by the step fuse alone, as it does
     under `force`.
+
+    Every step's state is collision-free: the first step collides the
+    whole seed, and each later step collides only the branch terms its
+    diffusion emitted.  Live terms keep their sites between steps, so a
+    step costs a copy of the term dict plus work on the touched terms,
+    not a re-sort and re-collision of the whole state.
     """
     state = TokenState.coerce(s)
     if not force:
@@ -597,14 +761,15 @@ def normalize(
             raise NotWellFormed("seed breaks the one-token-per-path bound", witness=formed.witness)
     limit = _resolve_fuse(d, state, rules, fuse)
     strategy = make_strategy(scheduler)
+    run = _Run(d, state, rules)
     trace = Trace(initial=state, steps=[])
     for index in range(limit):
         try:
-            state, record = _step_recorded(d, state, strategy, rules, index)
+            record = run.step(strategy, index)
         except NormalFormReached:
-            return state, trace
+            return run.state, trace
         trace.steps.append(record)
-    raise FuseExceeded(f"no normal form within {limit} steps", state=state, steps=limit)
+    raise FuseExceeded(f"no normal form within {limit} steps", state=run.state, steps=limit)
 
 
 # -- polarity and structural invariants --------------------------------------

@@ -134,6 +134,16 @@ class TestRun:
         code, _, err = run_main(capsys, "run", cnot_zxd, "--input", "10")
         assert code == 1 and "run did not finish" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_fuse_setting_exits_2(self, capsys, cnot_zxd, monkeypatch, value):
+        monkeypatch.setenv("ZXTK_FUSE", value)
+        code, _, err = run_main(capsys, "run", cnot_zxd, "--input", "10")
+        assert code == 2 and err.startswith("error:") and "ZXTK_FUSE" in err
+
+    def test_bad_random_seed_exits_2(self, capsys, cnot_zxd):
+        code, _, err = run_main(capsys, "run", cnot_zxd, "--input", "10", "--scheduler", "random:abc")
+        assert code == 2 and err.startswith("error:") and "random:abc" in err
+
 
 class TestTrace:
     def test_stdout_jsonl(self, capsys, cnot_zxd):

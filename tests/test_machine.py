@@ -1,6 +1,7 @@
 """The asynchronous token machine: rules, runs, gates, extraction."""
 
 import cmath
+import random
 
 import numpy as np
 import pytest
@@ -35,7 +36,16 @@ from zxtk import (
     tensor,
     term_key,
 )
-from zxtk.machine import _active_sites, is_frozen
+from zxtk.machine import (
+    GROUND_RULES,
+    _active_sites,
+    _apply_rule,
+    _collide_term,
+    _depth_map,
+    _target_endpoint,
+    is_frozen,
+)
+from zxtk.textio import serialize_state
 from zxtk.errors import (
     DiagramError,
     FuseExceeded,
@@ -452,3 +462,91 @@ def test_polarity_is_additive_over_tokens(index):
     assert polarity(d, p, term_key(toks[:1])) + polarity(d, p, term_key(toks[1:])) == polarity(
         d, p, term_key(toks)
     )
+
+
+# -- the incremental engine against the whole-state step ------------------------
+
+
+def _reference_strategy(spec):
+    """The schedulers as they were: ranking whole sites, depths rebuilt per pick."""
+    if spec == "deterministic":
+        return lambda d, s, sites: sites[0]
+    if spec.startswith("random:"):
+        rng = random.Random(int(spec.split(":")[1]))
+        return lambda d, s, sites: sites[rng.randrange(len(sites))]
+    if spec == "sparse-first":
+        return lambda d, s, sites: min(sites, key=lambda site: (len(site[0]),) + site)
+    assert spec == "slice-order"
+
+    def pick(d, s, sites):
+        depth = _depth_map(d)
+        return min(sites, key=lambda site: (depth[_target_endpoint(d, site[1])[1]],) + site)
+
+    return pick
+
+
+def _reference_steps(d, seed, spec, rules):
+    """Whole-state steps: sort every term, rebuild the state, collide every term."""
+    strategy = _reference_strategy(spec)
+    state, steps = seed, []
+    while True:
+        sites = _active_sites(d, state)
+        if not sites:
+            return steps
+        term, token = strategy(d, state, sites)
+        gi, rule, branches = _apply_rule(d, token, rules)
+        rest = list(term)
+        rest.remove(token)
+        pairs = [(v, k) for k, v in state.terms.items() if k != term]
+        pairs += [(state.terms[term] * factor, tuple(rest) + emitted) for factor, emitted in branches]
+        diffused = TokenState(pairs)
+        records = tuple(r for key in diffused.terms for r in _collide_term(key)[2])
+        state = collide_all(diffused)
+        steps.append((term, token, gi, rule, tuple(branches), records, state))
+
+
+def _pair_seed(d, edge, width):
+    """Every bit pattern's extraction pair on `edge`, one term each."""
+    patterns = [tuple((p >> (width - 1 - j)) & 1 for j in range(width)) for p in range(2**width)]
+    return TokenState((1.0, [tk(edge, D, *bits), tk(edge, U, *bits)]) for bits in patterns)
+
+
+def _equivalence_cases():
+    for k in (2, 3):
+        chain = cnot_chain(k)
+        mid = chain.edge_order[len(chain.edge_order) // 2]
+        inputs = TokenState.single(1.0, [tk(e, D, 1) for e in chain.inputs])
+        yield f"chain{k}-inputs", chain, inputs, PURE_RULES
+        yield f"chain{k}-pair", chain, TokenState.single(1.0, [tk(mid, D, 1), tk(mid, U, 1)]), PURE_RULES
+        yield f"chain{k}-pairs", chain, _pair_seed(chain, mid, 1), PURE_RULES
+    # duplicate tokens break well-formedness, so only forced runs meet them;
+    # their runs grow fast, so the smallest circuit
+    cnot = cnot_diagram()
+    for bits in ((1, 1), (0, 1)):
+        doubled = [tk(cnot.inputs[0], D, b) for b in bits] + [tk(cnot.inputs[1], D, 0)]
+        yield f"cnot-double{bits}", cnot, TokenState.single(1.0, doubled), PURE_RULES
+    for ground, rules, width in ((False, PURE_RULES, 1), (True, GROUND_RULES, 2)):
+        cfg = GenConfig(seed=1, max_generators=6, max_inputs=2, max_outputs=2, allow_ground=ground)
+        for i in range(12):
+            d = random_diagram(cfg, i)
+            if not d.edge_order:
+                continue
+            yield f"g{int(ground)}-{i}-pairs", d, _pair_seed(d, d.edge_order[0], width), rules
+            yield f"g{int(ground)}-{i}-loose", d, _random_seed(d, random.Random(i), width), rules
+
+
+@pytest.mark.parametrize("spec", ["deterministic", "sparse-first", "slice-order", "random:5"])
+def test_incremental_steps_match_the_whole_state_step(spec):
+    for label, d, seed, rules in _equivalence_cases():
+        want = _reference_steps(d, seed, spec, rules)
+        nf, trace = normalize(d, seed, spec, rules=rules, force=True)
+        assert len(trace.steps) == len(want), label
+        for got, (term, token, gi, rule, produced, records, state) in zip(trace.steps, want):
+            assert (got.term, got.token, got.gen_index, got.rule) == (term, token, gi, rule), label
+            assert got.produced == produced and got.collisions == records, label
+            # reprs keep the sign of zero, and the key order fixes the order of later sums
+            assert repr(list(got.state_after.terms.items())) == repr(list(state.terms.items())), label
+        assert serialize_state(nf) == serialize_state(want[-1][-1] if want else seed), label
+        if want:
+            first = step(d, seed, spec, rules=rules)
+            assert serialize_state(first) == serialize_state(want[0][-1]), label
