@@ -13,14 +13,15 @@ machine checks that replay for us.
 import numpy as np
 
 from zxtk import (
+    GROUND_RULES,
     Dir,
     Token,
     TokenState,
     check_simulation,
     cpm_construct,
     g_extract_superoperator,
-    g_normalize,
     interp_cpm,
+    normalize,
     parse_dsl,
 )
 
@@ -34,7 +35,7 @@ print("diagram:", meas)
 # erases.
 for bits in ((0, 0), (1, 1), (1, 0)):
     seed = TokenState.single(1.0, [Token("a1", Dir.DOWN, bits)])
-    nf, _ = g_normalize(meas, seed)
+    nf, _ = normalize(meas, seed, rules=GROUND_RULES)
     print(f"  input bits {bits}: normal form {nf if len(nf) else '0 (erased)'}")
 print()
 

@@ -1,8 +1,9 @@
-"""Command-line front door: evaluate, run, extract, double, check, bench.
+"""Command-line front door: evaluate, run, trace, extract, double, check.
 
 Every command reads diagrams through the text formats, writes JSON to
 stdout (or to a named file), and exits 0 on success, 1 when a
-verification failed, and 2 on bad input.
+verification failed, and 2 on bad input.  A diagram with a ground runs
+the two-bit machine (`GROUND_RULES`) and reads as a superoperator.
 """
 
 from __future__ import annotations
@@ -10,23 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .diagram import Dir, GenKind, cpm_construct
+from .diagram import Dir, cpm_construct
 from .errors import FuseExceeded, ZxError
-from .families import cnot_chain, spider_z_nn
-from .ground import g_extract_superoperator, g_normalize
+from .ground import g_extract_superoperator
 from .interp import interp, interp_cpm
 from .machine import (
+    GROUND_RULES,
+    PURE_RULES,
     Token,
     TokenState,
     extract_matrix,
     extract_matrix_general,
-    extract_state,
     normalize,
 )
 from .textio import (
@@ -58,8 +56,9 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _has_ground(d) -> bool:
-    return any(g.kind is GenKind.GROUND for g in d.generators)
+def _rules_for(d):
+    """Grounds need the two-bit machine."""
+    return GROUND_RULES if d.has_ground() else PURE_RULES
 
 
 def _seed_from_input(d, value: str) -> TokenState:
@@ -74,15 +73,9 @@ def _seed_from_input(d, value: str) -> TokenState:
             f"bitstring {value!r} has {len(value)} bits but the diagram has "
             f"{len(d.inputs)} input wires"
         )
-    width = 2 if _has_ground(d) else 1
+    width = _rules_for(d).bit_width
     tokens = [Token(e, Dir.DOWN, (int(c),) * width) for e, c in zip(d.inputs, value)]
     return TokenState.single(1.0, tokens)
-
-
-def _normalize_any(d, seed, scheduler):
-    if _has_ground(d):
-        return g_normalize(d, seed, scheduler)
-    return normalize(d, seed, scheduler)
 
 
 # -- commands ----------------------------------------------------------------
@@ -90,7 +83,7 @@ def _normalize_any(d, seed, scheduler):
 
 def _cmd_interp(args) -> int:
     d = _load_diagram(args.file)
-    m = interp_cpm(d) if args.cpm or _has_ground(d) else interp(d)
+    m = interp_cpm(d) if args.cpm or d.has_ground() else interp(d)
     _emit(serialize_matrix(m), args.out)
     return OK
 
@@ -99,7 +92,7 @@ def _cmd_run(args) -> int:
     d = _load_diagram(args.file)
     seed = _seed_from_input(d, args.input)
     try:
-        nf, trace = _normalize_any(d, seed, args.scheduler)
+        nf, trace = normalize(d, seed, args.scheduler, rules=_rules_for(d))
     except FuseExceeded as err:
         print(f"run did not finish: {err}", file=sys.stderr)
         return VERIFY_FAILED
@@ -113,7 +106,7 @@ def _cmd_trace(args) -> int:
     d = _load_diagram(args.file)
     seed = _seed_from_input(d, args.input)
     try:
-        _, trace = _normalize_any(d, seed, args.scheduler)
+        _, trace = normalize(d, seed, args.scheduler, rules=_rules_for(d))
     except FuseExceeded as err:
         print(f"run did not finish: {err}", file=sys.stderr)
         return VERIFY_FAILED
@@ -124,7 +117,7 @@ def _cmd_trace(args) -> int:
 def _cmd_extract(args) -> int:
     d = _load_diagram(args.file)
     try:
-        if args.ground or _has_ground(d):
+        if args.ground or d.has_ground():
             m = g_extract_superoperator(d, args.seed_edge, args.scheduler)
         elif args.seed_edge is not None:
             m = extract_matrix(d, args.seed_edge, args.scheduler)
@@ -194,43 +187,6 @@ def _cmd_check(args) -> int:
     return OK if report.ok else VERIFY_FAILED
 
 
-def _cmd_bench(args) -> int:
-    if args.family == "spider":
-        d = spider_z_nn(args.size)
-    else:
-        d = cnot_chain(args.size)
-    t0 = time.perf_counter()
-    try:
-        state = extract_state(d, scheduler=args.strategy)
-    except FuseExceeded as err:
-        print(f"benchmark run did not finish: {err}", file=sys.stderr)
-        return VERIFY_FAILED
-    token_seconds = time.perf_counter() - t0
-    dense_shape = [2 ** len(d.outputs), 2 ** len(d.inputs)]
-    payload = {
-        "dense_entries": dense_shape[0] * dense_shape[1],
-        "dense_shape": dense_shape,
-        "family": args.family,
-        "size": args.size,
-        "strategy": args.strategy,
-        "term_count": len(state.terms),
-        "token_seconds": round(token_seconds, 6),
-        "tokens_per_term": max((len(t) for t in state.terms), default=0),
-    }
-    if args.compare:
-        t0 = time.perf_counter()
-        want = interp(d)
-        dense_seconds = time.perf_counter() - t0
-        got = extract_matrix(d, scheduler=args.strategy)
-        payload["dense_seconds"] = round(dense_seconds, 6)
-        payload["max_deviation"] = float(np.abs(got - want).max())
-        if payload["max_deviation"] >= 1e-9:
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-            return VERIFY_FAILED
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return OK
-
-
 # -- argument wiring ----------------------------------------------------------
 
 
@@ -278,12 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="trial seed for file mode")
     p.add_argument("--jobs", type=int, default=1)
-
-    p = cmd("bench", _cmd_bench, "size and timing of the token representation")
-    p.add_argument("--family", choices=("spider", "cnot-chain"), required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--strategy", default="deterministic")
-    p.add_argument("--compare", action="store_true", help="also run the dense oracle")
 
     return parser
 

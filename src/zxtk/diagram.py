@@ -586,43 +586,6 @@ def enumerate_paths(d: Diagram, max_paths: int = DEFAULT_PATH_LIMIT) -> list[Pat
     return out
 
 
-def paths_between(
-    d: Diagram, e0: str, en: str, max_paths: int = DEFAULT_PATH_LIMIT
-) -> list[Path]:
-    """All directed paths whose first edge is e0 and last edge is en."""
-    if e0 not in d.edges or en not in d.edges:
-        raise DiagramError(f"unknown edge in ({e0!r}, {en!r})")
-    out = []
-    counter = [0]
-    for o in (Dir.DOWN, Dir.UP):
-        for steps in _iter_directed_paths(d, (e0, o), counter, max_paths):
-            if steps[-1][0] == en:
-                out.append(Path(tuple(s[0] for s in steps), tuple(s[1] for s in steps)))
-    return out
-
-
-def distance(d: Diagram, e0: str, en: str) -> float:
-    """Edges-minus-one along a shortest path from e0 to en; inf if none."""
-    if e0 not in d.edges or en not in d.edges:
-        raise DiagramError(f"unknown edge in ({e0!r}, {en!r})")
-    if e0 == en:
-        return 0
-    from collections import deque
-
-    queue = deque([((e0, Dir.DOWN), 0), ((e0, Dir.UP), 0)])
-    seen = {(e0, Dir.DOWN), (e0, Dir.UP)}
-    while queue:
-        (e, o), dist = queue.popleft()
-        _, head = _tail_head(d, e, o)
-        for f, q in _leaving(d, head, e):
-            if f == en:
-                return dist + 1
-            if (f, q) not in seen:
-                seen.add((f, q))
-                queue.append(((f, q), dist + 1))
-    return math.inf
-
-
 def enumerate_cycles(d: Diagram, max_cycles: int = DEFAULT_PATH_LIMIT) -> list[Cycle]:
     """Every simple cycle, one representative per rotation/reversal class."""
     seen = set()
@@ -804,41 +767,6 @@ def connected_components(d: Diagram) -> list[tuple[Diagram, ComponentMap]]:
     return pieces
 
 
-# -- wire bending ---------------------------------------------------------
-
-
-def bend_wire(d: Diagram, which: int, to: str) -> Diagram:
-    """Bend boundary wire `which` around to the other side with a cap or cup.
-
-    `to` names the destination: to="output" takes input slot `which`
-    and turns it into an output (via a cap), to="input" takes output
-    slot `which` and turns it into an input (via a cup).  The bent wire
-    lands at slot 0 of its new side.
-    """
-    if to not in ("input", "output"):
-        raise DiagramError(f"to must be 'input' or 'output', got {to!r}")
-    side = d.inputs if to == "output" else d.outputs
-    if not 0 <= which < len(side):
-        raise DiagramError(
-            f"no boundary slot {which} to bend; the side has {len(side)} wires"
-        )
-    e = side[which]
-    new = next(_fresh_namer(set(d.edge_order)))
-    if to == "output":
-        cap = Generator(GenKind.CAP, (), (new, e))
-        return Diagram(
-            d.generators + (cap,),
-            d.inputs[:which] + d.inputs[which + 1 :],
-            (new,) + d.outputs,
-        )
-    cup = Generator(GenKind.CUP, (new, e), ())
-    return Diagram(
-        d.generators + (cup,),
-        (new,) + d.inputs,
-        d.outputs[:which] + d.outputs[which + 1 :],
-    )
-
-
 # -- conjugation and doubling ---------------------------------------------
 
 
@@ -892,69 +820,3 @@ def cpm_construct(d: Diagram) -> Diagram:
     inputs = tuple(x for e in d.inputs for x in (e, conj_map[e]))
     outputs = tuple(x for e in d.outputs for x in (e, conj_map[e]))
     return Diagram(tuple(gens1 + gens2 + cups), inputs, outputs)
-
-
-# -- joining components ---------------------------------------------------
-
-
-def _grow_leg(gens: list[Generator], host: int, leg: str) -> None:
-    g = gens[host]
-    gens[host] = replace(g, outs=g.outs + (leg,))
-
-
-def connect_components(d: Diagram) -> Diagram:
-    """Join all components into one, preserving the interpretation.
-
-    Each component donates a green node (inserting Z(1,1,0) on a wire if
-    it has none); grown legs are terminated pairwise by a connected
-    all-ones effect, which factors as (<0|+<1|) x (<0|+<1|) and so leaves
-    every component's matrix untouched.
-    """
-    comps = connected_components(d)
-    if len(comps) <= 1:
-        return d
-
-    gens = list(d.generators)
-    outputs = list(d.outputs)
-    taken = set(d.edge_order)
-    fresh = _fresh_namer(taken)
-
-    hosts: list[int] = []
-    for piece, cmap in comps:
-        z = next((i for i in cmap.generator_indices if d.generators[i].kind is GenKind.Z), None)
-        if z is not None:
-            hosts.append(z)
-            continue
-        if not piece.edge_order:
-            raise DiagramError("component with no edges and no spider cannot host a join")
-        # split the component's first edge with an angle-0 identity spider
-        e = piece.edge_order[0]
-        w = next(fresh)
-        bottom = d.bottom_of(e)
-        if bottom[0] == "gen":
-            _, gi, _, port = bottom
-            g = gens[gi]
-            gens[gi] = replace(g, ins=g.ins[:port] + (w,) + g.ins[port + 1 :])
-        else:
-            outputs[bottom[1]] = w
-        gens.append(Generator(GenKind.Z, (e,), (w,), Angle.zero()))
-        hosts.append(len(gens) - 1)
-
-    def gadget(leg_a: str, leg_b: str) -> None:
-        w1, w2, w3, w4, w5, w6 = (next(fresh) for _ in range(6))
-        gens.append(Generator(GenKind.H, (leg_a,), (w1,)))
-        gens.append(Generator(GenKind.H, (leg_b,), (w2,)))
-        gens.append(Generator(GenKind.Z, (), (w3,), Angle.zero()))
-        gens.append(Generator(GenKind.H, (w3,), (w4,)))
-        gens.append(Generator(GenKind.Z, (w1, w2, w4), (w5,), Angle.zero()))
-        gens.append(Generator(GenKind.H, (w5,), (w6,)))
-        gens.append(Generator(GenKind.Z, (w6,), (), Angle.zero()))
-
-    anchor = hosts[0]
-    for other in hosts[1:]:
-        leg_a, leg_b = next(fresh), next(fresh)
-        _grow_leg(gens, anchor, leg_a)
-        _grow_leg(gens, other, leg_b)
-        gadget(leg_a, leg_b)
-
-    return Diagram(tuple(gens), d.inputs, tuple(outputs))

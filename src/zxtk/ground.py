@@ -1,62 +1,37 @@
-"""The mixed-process token machine.
+"""The mixed-process token machine: the pure engine run on two copies.
 
-Tokens carry a bit pair (x, y): one bit per copy of the doubled
-diagram.  Grounds erase their token, keeping the term only when the
-two bits agree; every other generator acts like the pure machine run
-on both copies at once, the second copy with conjugated phases.  The
-engine, scheduling and invariants are shared with the pure machine,
-only the rule table differs.
+Its tokens carry a bit pair (x, y), one bit per copy of the doubled
+diagram; the second copy sees every phase conjugated.  There is no
+separate engine: run it as `normalize(d, seed, rules=GROUND_RULES)`
+(or `step` / `diffuse_once` with the same `rules`).  Grounds erase
+their token, keeping the term only when the two bits agree, which is
+the cup a ground becomes in the doubled diagram.
 
-`check_simulation` replays a two-bit run on the doubled pure diagram
-and confirms each ground move is matched there: one pure diffusion per
-copy (the second copy coordinated across the branch terms the first
-one opened), except at a ground, whose cup needs a single diffusion
-and finishes by collision.
+This module holds what the two-bit machine adds on top: `cpm_map`,
+the image of a two-bit state on the doubled diagram; the superoperator
+reading `g_extract_superoperator`; and `check_simulation`, which
+replays a two-bit run on the doubled pure diagram and confirms each
+move is matched there: one pure diffusion per copy (the second copy
+coordinated across the branch terms the first one opened), except at
+a ground, whose cup needs a single diffusion and finishes by collision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, Dir, conj_edge_name, cpm_construct
+from .diagram import Diagram, conj_edge_name, cpm_construct
 from .errors import DiagramError
 from .machine import (
     GROUND_RULES,
-    RuleTable,
     Strategy,
     Token,
     TokenState,
-    Trace,
     _collide_all_recorded,
-    collide_all,
     diffuse_once,
     extract_matrix,
     normalize,
-    step,
-    term_key,
 )
-
-# Same shapes as the pure machine; the payload is two bits wide.
-GroundToken = Token
-GroundTokenState = TokenState
-
-
-def g_diffuse_once(d: Diagram, s: TokenState, site) -> TokenState:
-    return diffuse_once(d, s, site, rules=GROUND_RULES)
-
-
-def g_collide_all(s: TokenState) -> TokenState:
-    return collide_all(s)
-
-
-def g_step(d: Diagram, s: TokenState, scheduler: "str | Strategy" = "deterministic") -> TokenState:
-    return step(d, s, scheduler, rules=GROUND_RULES)
-
-
-def g_normalize(
-    d: Diagram, s, scheduler: "str | Strategy" = "deterministic", **kw
-) -> tuple[TokenState, Trace]:
-    return normalize(d, s, scheduler, rules=GROUND_RULES, **kw)
 
 
 def cpm_map(s: TokenState, d: Diagram | None = None) -> TokenState:
@@ -102,15 +77,6 @@ class SimulationReport:
         return self.ok
 
 
-def _twin_term(term) -> tuple:
-    toks = []
-    for t in term:
-        x, y = t.bits
-        toks.append(Token(t.edge, t.direction, (x,)))
-        toks.append(Token(conj_edge_name(t.edge), t.direction, (y,)))
-    return term_key(toks)
-
-
 def check_simulation(
     d: Diagram,
     s,
@@ -133,7 +99,7 @@ def check_simulation(
             "check_simulation needs a collision-free seed; seed boundary wires instead"
         )
     doubled = cpm_construct(d)
-    nf, trace = g_normalize(d, seed, scheduler, **kw)
+    nf, trace = normalize(d, seed, scheduler, rules=GROUND_RULES, **kw)
     pure_state = cpm_map(seed, d)
     steps: list[SimulatedStep] = []
     ok = True
@@ -144,7 +110,7 @@ def check_simulation(
         twin = Token(
             conj_edge_name(record.token.edge), record.token.direction, record.token.bits[1:]
         )
-        term = _twin_term(record.term)
+        (term,) = cpm_map(TokenState.single(1.0, record.term)).terms
         coeff = pure_state.terms.get(term)
         if coeff is None:
             raise DiagramError("replay lost track of the rewritten term")

@@ -30,7 +30,7 @@ offered.
 from __future__ import annotations
 
 import cmath
-import math
+import itertools
 import os
 import random
 from bisect import bisect_left
@@ -63,7 +63,6 @@ from .errors import (
 )
 
 PRUNE_EPS = 1e-12
-_INV_SQRT2 = 2.0**-0.5
 
 
 class Token(NamedTuple):
@@ -180,16 +179,34 @@ Branch = tuple[complex, tuple[Token, ...]]
 
 
 class RuleTable:
-    """Diffusion rules of one machine flavour.
+    """Diffusion rules over w = len(signs) conjugate copies of the diagram.
+
+    A token carries one bit per copy, and copy c sees every phase with
+    sign signs[c].  The pure machine runs one copy; the mixed-process
+    machine runs the diagram beside its conjugate, the doubled diagram
+    of the CPM construction, where a ground is a cup joining the copies.
 
     `diffuse` returns the branches replacing a token that entered
     generator `g` at the given side/port: a list of (factor, emitted
     tokens).  An empty list means the term is erased (factor 0).
     """
 
-    name = "pure"
-    bit_width = 1
-    branch_factor = 2  # branches out of an H visit; sizes the step fuse
+    def __init__(self, name: str, signs: tuple[int, ...]):
+        self.name = name
+        self.bit_width = w = len(signs)
+        self._patterns = tuple(itertools.product((0, 1), repeat=w))
+        # Z spiders: the phase multiple sum_c s_c x_c of each payload; the
+        # keys are exactly the payloads these rules accept
+        self._weight = {x: sum(s * b for s, b in zip(signs, x)) for x in self._patterns}
+        # H: one branch per z in product order, 2^(-w/2) (-1)^(x.z); the
+        # scale is one power of 2.0, as (2 ** -0.5) ** 2 is not 0.5
+        scale = 2.0 ** (-w / 2)
+        self._hadamard = {
+            x: tuple(
+                ((-1.0) ** sum(a * b for a, b in zip(x, z)) * scale, z) for z in self._patterns
+            )
+            for x in self._patterns
+        }
 
     @staticmethod
     def _spider_emissions(g, port_side: str, port: int, bits: tuple[int, ...]) -> tuple[Token, ...]:
@@ -204,65 +221,30 @@ class RuleTable:
         return tuple(out)
 
     def diffuse(self, g, gen_kind: GenKind, port_side: str, port: int, token: Token) -> list[Branch]:
-        (x,) = token.bits
+        bits = token.bits
         if gen_kind is GenKind.Z:
-            phase = cmath.exp(1j * g.angle.to_radians * x)
-            return [(phase, self._spider_emissions(g, port_side, port, (x,)))]
+            phase = cmath.exp(1j * g.angle.to_radians * self._weight[bits])
+            return [(phase, self._spider_emissions(g, port_side, port, bits))]
         if gen_kind is GenKind.H:
             other = g.outs[0] if port_side == "in" else g.ins[0]
             direction = Dir.DOWN if port_side == "in" else Dir.UP
-            return [
-                (((-1.0) ** (x * z)) * _INV_SQRT2, (Token(other, direction, (z,)),))
-                for z in (0, 1)
-            ]
+            return [(factor, (Token(other, direction, z),)) for factor, z in self._hadamard[bits]]
         if gen_kind is GenKind.CUP:
-            other = g.ins[1 - port]
-            return [(1.0 + 0j, (Token(other, Dir.UP, (x,)),))]
+            return [(1.0 + 0j, (Token(g.ins[1 - port], Dir.UP, bits),))]
         if gen_kind is GenKind.CAP:
-            other = g.outs[1 - port]
-            return [(1.0 + 0j, (Token(other, Dir.DOWN, (x,)),))]
-        raise GroundNotAllowed(
-            "pure tokens cannot enter a ground; run the two-bit machine or double the diagram"
-        )
-
-
-class GroundRuleTable(RuleTable):
-    """Two-bit rules: the payload tracks both sides of the doubled diagram."""
-
-    name = "ground"
-    bit_width = 2
-    branch_factor = 4
-
-    def diffuse(self, g, gen_kind: GenKind, port_side: str, port: int, token: Token) -> list[Branch]:
-        x, y = token.bits
-        if gen_kind is GenKind.Z:
-            phase = cmath.exp(1j * g.angle.to_radians * (x - y))
-            return [(phase, self._spider_emissions(g, port_side, port, (x, y)))]
-        if gen_kind is GenKind.H:
-            other = g.outs[0] if port_side == "in" else g.ins[0]
-            direction = Dir.DOWN if port_side == "in" else Dir.UP
-            return [
-                (
-                    0.5 * ((-1.0) ** (x * z + y * zz)),
-                    (Token(other, direction, (z, zz)),),
-                )
-                for z in (0, 1)
-                for zz in (0, 1)
-            ]
-        if gen_kind is GenKind.CUP:
-            other = g.ins[1 - port]
-            return [(1.0 + 0j, (Token(other, Dir.UP, (x, y)),))]
-        if gen_kind is GenKind.CAP:
-            other = g.outs[1 - port]
-            return [(1.0 + 0j, (Token(other, Dir.DOWN, (x, y)),))]
-        # trace-out: the token is erased; unequal bits erase the whole term
-        if x == y:
+            return [(1.0 + 0j, (Token(g.outs[1 - port], Dir.DOWN, bits),))]
+        if self.bit_width == 1:
+            raise GroundNotAllowed(
+                "pure tokens cannot enter a ground; run the two-bit machine or double the diagram"
+            )
+        # trace-out: the token is erased; copies that disagree erase the whole term
+        if bits.count(bits[0]) == len(bits):
             return [(1.0 + 0j, ())]
         return []
 
 
-PURE_RULES = RuleTable()
-GROUND_RULES = GroundRuleTable()
+PURE_RULES = RuleTable("pure", (1,))
+GROUND_RULES = RuleTable("ground", (1, -1))
 
 
 # -- single rewrites --------------------------------------------------------
@@ -294,12 +276,19 @@ _RULE_NAMES = {
 }
 
 
+def _check_payload(token: Token, rules: RuleTable) -> None:
+    """Refuse bits that are not one 0 or 1 per copy of the rule table."""
+    if token.bits not in rules._weight:
+        if len(token.bits) != rules.bit_width:
+            raise DiagramError(
+                f"token {token} carries {len(token.bits)} bits; these rules want {rules.bit_width}"
+            )
+        raise DiagramError(f"token {token} carries a bit other than 0 or 1")
+
+
 def _apply_rule(d: Diagram, token: Token, rules: RuleTable) -> tuple[int, str, list[Branch]]:
     """Run the diffusion rule for `token`; returns (gen index, rule name, branches)."""
-    if len(token.bits) != rules.bit_width:
-        raise DiagramError(
-            f"token {token} carries {len(token.bits)} bits; these rules want {rules.bit_width}"
-        )
+    _check_payload(token, rules)
     endpoint = _target_endpoint(d, token)
     if endpoint[0] != "gen":
         raise DiagramError(f"token {token} points at boundary slot {endpoint}; nothing to diffuse")
@@ -639,9 +628,16 @@ class _Run:
     (`sites_of`, and `sites` flattened in canonical order), and whether
     the state is collision-free yet: the seed may hold pairs, so the
     first step collides every term and later steps only their branches.
+    The seed's tokens are checked on entry: each must sit on an edge of
+    the diagram and carry one 0 or 1 per copy of the rule table.
     """
 
     def __init__(self, d: Diagram, state: TokenState, rules: RuleTable):
+        edges = d.edges
+        for token in state.tokens():
+            if token.edge not in edges:
+                raise DiagramError(f"token {token} sits on {token.edge!r}, not an edge of the diagram")
+            _check_payload(token, rules)
         self.d = d
         self.rules = rules
         self.state = state
@@ -719,7 +715,7 @@ def _resolve_fuse(d: Diagram, s: TokenState, rules: RuleTable, fuse: int | None)
             raise ConfigError(f"ZXTK_FUSE wants a positive step count, got {env!r}")
         return limit
     n_h = sum(1 for g in d.generators if g.kind is GenKind.H)
-    terms_bound = max(1, len(s.terms)) * rules.branch_factor ** min(n_h, 20)
+    terms_bound = max(1, len(s.terms)) * (2**rules.bit_width) ** min(n_h, 20)
     return 4 * max(1, len(d.generators)) * terms_bound
 
 
@@ -735,8 +731,10 @@ def normalize(
 ) -> tuple[TokenState, Trace]:
     """Drive the state to its normal form.
 
-    The seed must be cycle-balanced (or the run would diverge) and
-    well-formed; both are checked up front unless `force` is set.  The
+    Every seed token must sit on an edge of the diagram and carry one
+    0 or 1 per copy of `rules`, even under `force`.  The seed must also
+    be cycle-balanced (or the run would diverge) and well-formed; both
+    are checked up front unless `force` is set.  The
     well-formedness check is certified cheaply where possible and falls
     back to exhaustive path enumeration capped at `path_budget`; past
     the cap the run proceeds guarded by the step fuse alone, as it does
@@ -749,6 +747,7 @@ def normalize(
     not a re-sort and re-collision of the whole state.
     """
     state = TokenState.coerce(s)
+    run = _Run(d, state, rules)
     if not force:
         balanced = is_cycle_balanced(d, state)
         if not balanced:
@@ -761,7 +760,6 @@ def normalize(
             raise NotWellFormed("seed breaks the one-token-per-path bound", witness=formed.witness)
     limit = _resolve_fuse(d, state, rules, fuse)
     strategy = make_strategy(scheduler)
-    run = _Run(d, state, rules)
     trace = Trace(initial=state, steps=[])
     for index in range(limit):
         try:
@@ -1087,10 +1085,8 @@ def extract_state(
     edge = seed_edge if seed_edge is not None else d.edge_order[0]
     if edge not in d.edges:
         raise DiagramError(f"unknown seed edge {edge!r}")
-    w = rules.bit_width
     total = TokenState.zero()
-    for pattern in range(2**w):
-        bits = tuple((pattern >> (w - 1 - j)) & 1 for j in range(w))
+    for bits in rules._patterns:
         seed = TokenState.single(
             1.0, [Token(edge, Dir.DOWN, bits), Token(edge, Dir.UP, bits)]
         )

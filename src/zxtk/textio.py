@@ -302,11 +302,11 @@ def doc_to_diagram(doc: dict) -> Diagram:
             angle = _angle_from_json(entry["angle"]) if kind is GenKind.Z else None
             gens.append(Generator(kind, tuple(entry["ins"]), tuple(entry["outs"]), angle))
         d = Diagram(tuple(gens), tuple(doc["inputs"]), tuple(doc["outputs"]))
-    except (KeyError, TypeError, ValueError) as err:
+        # the edges section is derived data; refuse documents that disagree
+        if doc["edges"] != diagram_to_doc(d)["edges"]:
+            raise FormatError("edges section does not match the generators")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise FormatError(f"malformed diagram document: {err}") from None
-    # the edges section is derived data; refuse documents that disagree
-    if doc["edges"] != diagram_to_doc(d)["edges"]:
-        raise FormatError("edges section does not match the generators")
     return d
 
 

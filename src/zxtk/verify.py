@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .diagram import (
+    _FIXED_ARITY,
     Angle,
     Diagram,
     Dir,
@@ -28,9 +29,10 @@ from .diagram import (
     enumerate_cycles,
 )
 from .errors import FuseExceeded, NotCycleBalanced, NotWellFormed, ZxError
-from .ground import check_simulation, cpm_map, g_extract_superoperator, g_normalize
+from .ground import check_simulation, cpm_map, g_extract_superoperator
 from .interp import interp, interp_cpm
 from .machine import (
+    GROUND_RULES,
     Token,
     TokenState,
     extract_matrix,
@@ -63,6 +65,8 @@ class GenConfig:
     require_acyclic: bool = False
 
     def __post_init__(self):
+        if min(self.max_generators, self.max_inputs, self.max_outputs) < 0:
+            raise ValueError("max_generators, max_inputs and max_outputs must not be negative")
         if self.max_inputs > _MAX_BOUNDARY or self.max_outputs > _MAX_BOUNDARY:
             raise ValueError(f"boundary sides are capped at {_MAX_BOUNDARY} wires")
         if self.max_spider_arity < 1:
@@ -99,12 +103,9 @@ def _random_generators(cfg: GenConfig, rng: random.Random) -> list[Generator]:
     return gens
 
 
-_FIXED = {GenKind.H: (1, 1), GenKind.CUP: (2, 0), GenKind.CAP: (0, 2), GenKind.GROUND: (1, 0)}
-
-
 def _blank(kind: GenKind, n_in: int | None = None, n_out: int | None = None, angle=None) -> Generator:
-    if kind in _FIXED:
-        n_in, n_out = _FIXED[kind]
+    if kind in _FIXED_ARITY:
+        n_in, n_out = _FIXED_ARITY[kind]
     return Generator(kind, ("?",) * n_in, ("?",) * n_out, angle)
 
 
@@ -319,8 +320,7 @@ def _trial_oracle(d: Diagram, rng: random.Random, *, ground: bool) -> TrialResul
 
 def check_diagram(d: Diagram) -> TrialResult:
     """Oracle comparison for one diagram; grounds switch the oracle."""
-    ground = any(g.kind is GenKind.GROUND for g in d.generators)
-    return _trial_oracle(d, random.Random(0), ground=ground)
+    return _trial_oracle(d, random.Random(0), ground=d.has_ground())
 
 
 def _trial_confluence(d: Diagram, rng: random.Random, schedulers: int) -> TrialResult:
@@ -340,6 +340,14 @@ def _trial_confluence(d: Diagram, rng: random.Random, schedulers: int) -> TrialR
 
 
 def _trial_invariants(d: Diagram, rng: random.Random) -> TrialResult:
+    """Structure every run must keep.
+
+    Along each trace: well-formedness at every state, constant cycle
+    polarity for every term, visits bounded per generator on acyclic
+    single-token runs, and a valid rewind witness for a surviving
+    token.  Diagrams with cycles also get a deliberately unbalanced
+    seed that normalize must refuse.
+    """
     seed = _random_seed(d, rng)
     if seed is None:
         return TrialResult(0, "skip", "no edges to seed")
@@ -398,7 +406,7 @@ def _trial_simulation(d: Diagram, rng: random.Random) -> TrialResult:
     rep = check_simulation(d, seed)
     if not rep.ok:
         return TrialResult(0, "fail", rep.message)
-    nf_g, _ = g_normalize(d, seed)
+    nf_g, _ = normalize(d, seed, rules=GROUND_RULES)
     nf_p, _ = normalize(cpm_construct(d), cpm_map(seed, d))
     image = cpm_map(nf_g, d)
     keys = set(image.terms) | set(nf_p.terms)
@@ -407,10 +415,6 @@ def _trial_simulation(d: Diagram, rng: random.Random) -> TrialResult:
 
 
 # -- suites ------------------------------------------------------------------
-
-
-def _has_ground(d: Diagram) -> bool:
-    return any(g.kind is GenKind.GROUND for g in d.generators)
 
 
 def effective_config(suite: str, cfg: GenConfig) -> GenConfig:
@@ -435,7 +439,7 @@ def run_trial(
     try:
         d = diagram if diagram is not None else random_diagram(cfg, index)
         if suite == "oracle":
-            r = _trial_oracle(d, rng, ground=cfg.allow_ground or _has_ground(d))
+            r = _trial_oracle(d, rng, ground=cfg.allow_ground or d.has_ground())
         elif suite == "confluence":
             r = _trial_confluence(d, rng, schedulers)
         elif suite == "invariants":
@@ -468,35 +472,6 @@ def run_suite(
     else:
         report.trials = [run_trial(suite, cfg, i, schedulers, diagram) for i in range(trials)]
     return report
-
-
-def suite_oracle(cfg: GenConfig, trials: int = 100, diagram: Diagram | None = None) -> SuiteReport:
-    """Token extraction against the dense interpretation, pure or ground."""
-    return run_suite("oracle", cfg, trials, diagram=diagram)
-
-
-def suite_confluence(
-    cfg: GenConfig, trials: int = 100, schedulers: int = 20, diagram: Diagram | None = None
-) -> SuiteReport:
-    """All schedulers must land every seed on one normal form."""
-    return run_suite("confluence", cfg, trials, schedulers, diagram)
-
-
-def suite_invariants(cfg: GenConfig, trials: int = 100, diagram: Diagram | None = None) -> SuiteReport:
-    """Structure every run must keep.
-
-    Along each trace: well-formedness at every state, constant cycle
-    polarity for every term, visits bounded per generator on acyclic
-    single-token runs, and a valid rewind witness for a surviving
-    token.  Diagrams with cycles also get a deliberately unbalanced
-    seed that normalize must refuse.
-    """
-    return run_suite("invariants", cfg, trials, diagram=diagram)
-
-
-def suite_simulation(cfg: GenConfig, trials: int = 100, diagram: Diagram | None = None) -> SuiteReport:
-    """Ground runs replayed on the doubled diagram, plus map commutation."""
-    return run_suite("simulation", cfg, trials, diagram=diagram)
 
 
 SUITES = ("oracle", "confluence", "invariants", "simulation")

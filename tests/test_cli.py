@@ -78,6 +78,22 @@ class TestInterp:
         assert code == 0 and out == ""
         assert np.allclose(parse_matrix(target.read_text()), interp(cnot_diagram()), atol=1e-12)
 
+    def test_document_without_edges_exits_2(self, capsys, tmp_path):
+        doc = json.loads(serialize_diagram(cnot_diagram()))
+        del doc["edges"]
+        p = tmp_path / "no-edges.zxj"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_main(capsys, "interp", str(p))
+        assert code == 2 and "malformed diagram document" in err
+
+    def test_angle_with_zero_denominator_exits_2(self, capsys, tmp_path):
+        doc = json.loads(serialize_diagram(cnot_diagram()))
+        doc["generators"][0]["angle"] = {"pi": [0, 0]}
+        p = tmp_path / "zero-den.zxj"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_main(capsys, "interp", str(p))
+        assert code == 2 and "malformed diagram document" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "interp", str(tmp_path / "absent.zxd"))
         assert code == 2 and err.startswith("error: cannot read")
@@ -128,6 +144,22 @@ class TestRun:
     def test_wrong_width(self, capsys, cnot_zxd):
         code, _, err = run_main(capsys, "run", cnot_zxd, "--input", "101")
         assert code == 2 and "2 input wires" in err
+
+    def test_seed_token_off_the_diagram_exits_2(self, capsys, tmp_path):
+        diagram = tmp_path / "h.zxd"
+        diagram.write_text("H ; H")
+        seed = tmp_path / "seed.state.json"
+        seed.write_text(serialize_state(TokenState.single(1.0, [Token("zz", D, (0,))])))
+        code, _, err = run_main(capsys, "run", str(diagram), "--input", str(seed))
+        assert code == 2 and err.startswith("error:") and "'zz'" in err
+
+    def test_seed_bit_other_than_0_or_1_exits_2(self, capsys, tmp_path):
+        diagram = tmp_path / "h.zxd"
+        diagram.write_text("H ; H")
+        seed = tmp_path / "seed.state.json"
+        seed.write_text(serialize_state(TokenState.single(1.0, [Token("a1", D, (2,))])))
+        code, _, err = run_main(capsys, "run", str(diagram), "--input", str(seed))
+        assert code == 2 and err.startswith("error:") and "0 or 1" in err
 
     def test_fuse_trip_is_a_verification_failure(self, capsys, cnot_zxd, monkeypatch):
         monkeypatch.setenv("ZXTK_FUSE", "2")
@@ -245,25 +277,10 @@ class TestCheck:
         code, _, err = run_main(capsys, "check", "--random", "max_inputs=9")
         assert code == 2 and "capped" in err
 
-
-class TestBench:
-    def test_spider_counts(self, capsys):
-        code, out, _ = run_main(capsys, "bench", "--family", "spider", "--size", "6")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["term_count"] == 2
-        assert doc["tokens_per_term"] == 12
-        assert doc["dense_entries"] == 4096
-        assert doc["token_seconds"] >= 0
-
-    def test_compare_mode(self, capsys):
-        code, out, _ = run_main(
-            capsys, "bench", "--family", "cnot-chain", "--size", "2", "--compare"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["max_deviation"] < 1e-9
-        assert "dense_seconds" in doc
+    @pytest.mark.parametrize("key", ["max_generators", "max_inputs", "max_outputs"])
+    def test_config_rejects_negative_sizes(self, capsys, key):
+        code, _, err = run_main(capsys, "check", "--random", f"{key}=-1")
+        assert code == 2 and err.startswith("error:") and "negative" in err
 
 
 class TestParser:

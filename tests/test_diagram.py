@@ -14,22 +14,18 @@ from zxtk import (
     GenKind,
     Generator,
     Path,
-    bend_wire,
     canonical_relabel,
     compose,
     conjugate,
-    connect_components,
     connected_components,
     cpm_construct,
     cycle_basis,
-    distance,
     empty_diagram,
     enumerate_cycles,
     enumerate_paths,
     identity_wire,
     interp,
     make_generator,
-    paths_between,
     red_spider,
     rename_edges,
     swap_wires,
@@ -146,26 +142,6 @@ class TestCombinators:
 
 
 class TestSurgery:
-    def test_bend_input_to_output(self):
-        d = bend_wire(identity_wire(), 0, "output")
-        assert d.n_inputs == 0 and d.n_outputs == 2
-        assert np.allclose(interp(d), [[1], [0], [0], [1]], atol=1e-15)
-
-    def test_bend_output_to_input(self):
-        d = bend_wire(identity_wire(), 0, "input")
-        assert d.n_inputs == 2 and d.n_outputs == 0
-        assert np.allclose(interp(d), [[1, 0, 0, 1]], atol=1e-15)
-
-    def test_bent_wire_lands_at_slot_zero(self, cnot):
-        d = bend_wire(cnot, 1, "output")
-        assert d.n_inputs == 1 and d.n_outputs == 3
-
-    def test_bend_direction_validated(self, cnot):
-        with pytest.raises(DiagramError):
-            bend_wire(cnot, 0, "sideways")
-        with pytest.raises(DiagramError):
-            bend_wire(cnot, 5, "output")
-
     def test_rename_edges(self, trap):
         d = rename_edges(trap, {"a": "x"})
         assert d.inputs == ("x",)
@@ -209,15 +185,6 @@ class TestPaths:
         paths = enumerate_paths(chain)
         assert full in paths or full.reversed() in paths
 
-    def test_paths_between(self, cnot):
-        ps = paths_between(cnot, "a1", "b2")
-        assert ps and all(p.edges[0] == "a1" and p.edges[-1] == "b2" for p in ps)
-
-    def test_distance(self):
-        chain = polarity_chain()
-        assert distance(chain, "e0", "e4") == 4
-        assert distance(chain, "e2", "e2") == 0
-
 
 class TestCycles:
     def test_cnot_is_acyclic(self, cnot):
@@ -256,15 +223,6 @@ class TestComponents:
         for piece, cmap in comps:
             assert all(both.generators[i].kind == g.kind
                        for i, g in zip(cmap.generator_indices, piece.generators))
-
-    def test_connect_components_preserves_interp(self, cnot, trap):
-        both = tensor(cnot, trap)
-        joined = connect_components(both)
-        assert len(connected_components(joined)) == 1
-        assert np.allclose(interp(joined), interp(both), atol=1e-12)
-
-    def test_connected_input_unchanged(self, cnot):
-        assert connect_components(cnot) == cnot
 
 
 class TestDoubling:

@@ -19,12 +19,11 @@ from zxtk import (
     check_simulation,
     cpm_construct,
     cpm_map,
-    g_diffuse_once,
+    diffuse_once,
     g_extract_superoperator,
-    g_normalize,
-    g_step,
     interp_cpm,
     normalize,
+    step,
     term_key,
 )
 from zxtk.errors import DiagramError
@@ -95,17 +94,20 @@ class TestDiscardMoves:
     def test_agreeing_token_leaves_a_scalar(self):
         d = lone_ground()
         seed = TokenState.single(1.0, [tk("a", D, 0, 0)])
-        out = g_diffuse_once(d, seed, (term_key([tk("a", D, 0, 0)]), tk("a", D, 0, 0)))
+        site = (term_key([tk("a", D, 0, 0)]), tk("a", D, 0, 0))
+        out = diffuse_once(d, seed, site, rules=GROUND_RULES)
         assert out.terms == {(): 1.0}
 
     def test_disagreeing_token_kills_the_term(self):
         d = lone_ground()
         seed = TokenState.single(1.0, [tk("a", D, 0, 1)])
-        out = g_diffuse_once(d, seed, (term_key([tk("a", D, 0, 1)]), tk("a", D, 0, 1)))
+        site = (term_key([tk("a", D, 0, 1)]), tk("a", D, 0, 1))
+        out = diffuse_once(d, seed, site, rules=GROUND_RULES)
         assert len(out) == 0
 
     def test_trace_out_is_recorded_by_name(self):
-        nf, trace = g_normalize(lone_ground(), TokenState.single(1.0, [tk("a", D, 1, 1)]))
+        seed = TokenState.single(1.0, [tk("a", D, 1, 1)])
+        nf, trace = normalize(lone_ground(), seed, rules=GROUND_RULES)
         assert trace.steps[0].rule == "trace-out"
         assert nf.terms == {(): 1.0}
 
@@ -113,19 +115,21 @@ class TestDiscardMoves:
 class TestRuns:
     def test_phase_shows_up_once_per_copy(self):
         d = phase_wire(Angle.pi("1/2"))
-        out = g_step(d, TokenState.single(1.0, [tk("a", D, 1, 0)]))
+        out = step(d, TokenState.single(1.0, [tk("a", D, 1, 0)]), rules=GROUND_RULES)
         assert out.allclose(TokenState.single(1j, [tk("b", D, 1, 0)]))
 
     def test_measurement_keeps_diagonal_pairs(self):
-        nf, _ = g_normalize(measurement(), TokenState.single(1.0, [tk("a1", D, 1, 1)]))
+        seed = TokenState.single(1.0, [tk("a1", D, 1, 1)])
+        nf, _ = normalize(measurement(), seed, rules=GROUND_RULES)
         assert nf.allclose(TokenState.single(1.0, [tk("b1", D, 1, 1)]))
 
     def test_measurement_erases_off_diagonal_pairs(self):
-        nf, _ = g_normalize(measurement(), TokenState.single(1.0, [tk("a1", D, 1, 0)]))
+        seed = TokenState.single(1.0, [tk("a1", D, 1, 0)])
+        nf, _ = normalize(measurement(), seed, rules=GROUND_RULES)
         assert len(nf) == 0
 
     def test_pure_diagrams_run_both_copies_at_once(self, trap):
-        nf, _ = g_normalize(trap, TokenState.single(1.0, [tk("a", D, 1, 0)]))
+        nf, _ = normalize(trap, TokenState.single(1.0, [tk("a", D, 1, 0)]), rules=GROUND_RULES)
         assert nf.allclose(TokenState.single(1.0, [tk("d", D, 1, 0)]))
 
 
@@ -207,7 +211,7 @@ class TestSimulation:
     def test_doubling_commutes_with_normalization(self):
         meas = measurement()
         seed = TokenState.single(1.0, [tk("a1", D, 1, 1)])
-        nf, _ = g_normalize(meas, seed)
+        nf, _ = normalize(meas, seed, rules=GROUND_RULES)
         doubled_nf, _ = normalize(cpm_construct(meas), cpm_map(seed, meas))
         assert cpm_map(nf, meas).allclose(doubled_nf, 1e-9)
 
@@ -243,7 +247,7 @@ def test_doubling_commutes_on_random_diagrams(index):
     seed = boundary_seed(d, random.Random(index))
     if seed is None:
         return
-    nf, _ = g_normalize(d, seed)
+    nf, _ = normalize(d, seed, rules=GROUND_RULES)
     doubled_nf, _ = normalize(cpm_construct(d), cpm_map(seed, d))
     assert cpm_map(nf, d).allclose(doubled_nf, 1e-9)
 

@@ -1,7 +1,9 @@
 """The asynchronous token machine: rules, runs, gates, extraction."""
 
 import cmath
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -363,6 +365,24 @@ class TestCycleGate:
         assert is_cycle_balanced(loop, ok, mode="exhaustive")
 
 
+class TestSeedTokens:
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            (tk("zz", D, 0), "not an edge"),
+            (tk("a1", D, 2), "0 or 1"),
+            (tk("a1", D, 0, 0), "2 bits"),
+        ],
+    )
+    @pytest.mark.parametrize("force", [False, True])
+    def test_bad_seed_tokens_are_refused(self, cnot, token, message, force):
+        seed = TokenState.single(1.0, [token])
+        with pytest.raises(DiagramError, match=message):
+            normalize(cnot, seed, force=force)
+        with pytest.raises(DiagramError, match=message):
+            step(cnot, seed)
+
+
 class TestFuse:
     def test_env_override(self, cnot, monkeypatch):
         monkeypatch.setenv("ZXTK_FUSE", "2")
@@ -550,3 +570,99 @@ def test_incremental_steps_match_the_whole_state_step(spec):
         if want:
             first = step(d, seed, spec, rules=rules)
             assert serialize_state(first) == serialize_state(want[0][-1]), label
+
+
+# -- the rule table against the pure and two-bit tables it replaced -------------
+
+
+class _PureReference:
+    """The one-bit table as two hand-written classes had it."""
+
+    @staticmethod
+    def _spider_emissions(g, port_side, port, bits):
+        out = []
+        for p, e in enumerate(g.ins):
+            if not (port_side == "in" and p == port):
+                out.append(Token(e, Dir.UP, bits))
+        for p, e in enumerate(g.outs):
+            if not (port_side == "out" and p == port):
+                out.append(Token(e, Dir.DOWN, bits))
+        return tuple(out)
+
+    def diffuse(self, g, gen_kind, port_side, port, token):
+        (x,) = token.bits
+        if gen_kind is GenKind.Z:
+            phase = cmath.exp(1j * g.angle.to_radians * x)
+            return [(phase, self._spider_emissions(g, port_side, port, (x,)))]
+        if gen_kind is GenKind.H:
+            other = g.outs[0] if port_side == "in" else g.ins[0]
+            direction = Dir.DOWN if port_side == "in" else Dir.UP
+            return [
+                (((-1.0) ** (x * z)) * 2.0**-0.5, (Token(other, direction, (z,)),))
+                for z in (0, 1)
+            ]
+        if gen_kind is GenKind.CUP:
+            return [(1.0 + 0j, (Token(g.ins[1 - port], Dir.UP, (x,)),))]
+        if gen_kind is GenKind.CAP:
+            return [(1.0 + 0j, (Token(g.outs[1 - port], Dir.DOWN, (x,)),))]
+        raise GroundNotAllowed("pure tokens cannot enter a ground")
+
+
+class _GroundReference(_PureReference):
+    """The two-bit table as two hand-written classes had it."""
+
+    def diffuse(self, g, gen_kind, port_side, port, token):
+        x, y = token.bits
+        if gen_kind is GenKind.Z:
+            phase = cmath.exp(1j * g.angle.to_radians * (x - y))
+            return [(phase, self._spider_emissions(g, port_side, port, (x, y)))]
+        if gen_kind is GenKind.H:
+            other = g.outs[0] if port_side == "in" else g.ins[0]
+            direction = Dir.DOWN if port_side == "in" else Dir.UP
+            return [
+                (0.5 * ((-1.0) ** (x * z + y * zz)), (Token(other, direction, (z, zz)),))
+                for z in (0, 1)
+                for zz in (0, 1)
+            ]
+        if gen_kind is GenKind.CUP:
+            return [(1.0 + 0j, (Token(g.ins[1 - port], Dir.UP, (x, y)),))]
+        if gen_kind is GenKind.CAP:
+            return [(1.0 + 0j, (Token(g.outs[1 - port], Dir.DOWN, (x, y)),))]
+        if x == y:
+            return [(1.0 + 0j, ())]
+        return []
+
+
+def _entries(d):
+    """Every (generator, side, port, edge, direction) a token can enter by."""
+    for g in d.generators:
+        for side, edges, direction in (("in", g.ins, D), ("out", g.outs, U)):
+            for port, e in enumerate(edges):
+                yield g, side, port, e, direction
+
+
+@pytest.mark.parametrize(
+    "rules,reference", [(PURE_RULES, _PureReference()), (GROUND_RULES, _GroundReference())]
+)
+def test_rule_table_equals_the_tables_it_replaced(rules, reference):
+    pool = (Fraction(0), Fraction(1, 4), Fraction(-3, 4), Fraction(1), 0.7)
+    entered = set()
+    for ground in (False, True):
+        cfg = GenConfig(seed=3, max_generators=10, angle_pool=pool, allow_ground=ground)
+        for i in range(40):
+            for g, side, port, e, direction in _entries(random_diagram(cfg, i)):
+                for bits in itertools.product((0, 1), repeat=rules.bit_width):
+                    token = Token(e, direction, bits)
+                    try:
+                        want = reference.diffuse(g, g.kind, side, port, token)
+                    except GroundNotAllowed:
+                        with pytest.raises(GroundNotAllowed):
+                            rules.diffuse(g, g.kind, side, port, token)
+                        continue
+                    got = rules.diffuse(g, g.kind, side, port, token)
+                    # exact: the factors feed every later sum, so a last-bit change shows in traces
+                    assert got == want, (g, side, port, bits)
+                    assert [type(f) for f, _ in got] == [type(f) for f, _ in want]
+                    entered.add((g.kind, side))
+    kinds = set(GenKind) if rules is GROUND_RULES else set(GenKind) - {GenKind.GROUND}
+    assert {kind for kind, _ in entered} == kinds

@@ -21,8 +21,6 @@ from zxtk import (
     run_suite,
     run_trial,
     serialize_diagram,
-    suite_confluence,
-    suite_oracle,
 )
 from zxtk.diagram import GenKind
 from zxtk.families import cnot_diagram, spider_trap
@@ -168,11 +166,11 @@ class TestSuites:
         assert report.max_deviation < 1e-9
 
     def test_fixture_mode_confluence(self, trap):
-        report = suite_confluence(GenConfig(seed=1), trials=3, schedulers=20, diagram=trap)
+        report = run_suite("confluence", GenConfig(seed=1), trials=3, schedulers=20, diagram=trap)
         assert report.ok and report.count("pass") == 3
 
     def test_fixture_mode_oracle(self, cnot):
-        report = suite_oracle(GenConfig(seed=1), trials=2, diagram=cnot)
+        report = run_suite("oracle", GenConfig(seed=1), trials=2, diagram=cnot)
         assert report.ok and report.max_deviation < 1e-12
 
     def test_trials_replay_exactly(self):
@@ -194,7 +192,7 @@ class TestSuites:
     def test_fuse_trips_are_not_failures(self, monkeypatch):
         monkeypatch.setenv("ZXTK_FUSE", "1")
         # extraction always needs more than one step on the CNOT block
-        report = suite_oracle(GenConfig(seed=5), trials=2, diagram=cnot_diagram())
+        report = run_suite("oracle", GenConfig(seed=5), trials=2, diagram=cnot_diagram())
         assert report.ok
         assert report.count("fuse") == 2
 
