@@ -271,6 +271,11 @@ class Diagram:
             table.setdefault(("gen", i), [])
         return {v: tuple(atts) for v, atts in table.items()}
 
+    @cached_property
+    def _forest(self) -> "_Forest":
+        """The spanning forest both seed gates read."""
+        return _Forest(self)
+
     def endpoints(self, edge: str) -> tuple[Endpoint, Endpoint]:
         return (self.top_of(edge), self.bottom_of(edge))
 
@@ -633,78 +638,73 @@ def enumerate_cycles(d: Diagram, max_cycles: int = DEFAULT_PATH_LIMIT) -> list[C
     return out
 
 
+class _Forest:
+    """A breadth-first spanning forest of the vertex graph, boundary slots included.
+
+    `trees` lists each component's vertices, its first vertex (the
+    root) first and every parent before its children; `links` maps each
+    other vertex to (parent, edge, direction from the parent).  The edges
+    off the forest are its `chords` (edge, top vertex, bottom vertex),
+    self-loops included, and `basis` holds the fundamental cycle of
+    each: down the chord, then back through the forest.  A boundary slot
+    has one edge, so no chord ends at it and no forest path passes
+    through it.
+    """
+
+    def __init__(self, d: Diagram):
+        self.links: dict[tuple, tuple[tuple, str, Dir]] = {}
+        self.depth: dict[tuple, int] = {}
+        tree_edges: set[str] = set()
+        trees = []
+        for root in d.incidence:
+            if root in self.depth:
+                continue
+            self.depth[root] = 0
+            tree = [root]
+            for v in tree:  # grows while it is read: a breadth-first queue
+                for e, which in d.incidence[v]:
+                    w = vertex_of(d.bottom_of(e) if which == "top" else d.top_of(e))
+                    if w not in self.depth:
+                        self.depth[w] = self.depth[v] + 1
+                        self.links[w] = (v, e, Dir.DOWN if which == "top" else Dir.UP)
+                        tree_edges.add(e)
+                        tree.append(w)
+            trees.append(tuple(tree))
+        self.trees = tuple(trees)
+        self.chords = tuple(
+            (e, vertex_of(d.top_of(e)), vertex_of(d.bottom_of(e)))
+            for e in d.edge_order
+            if e not in tree_edges
+        )
+        basis = []
+        for e, top, bottom in self.chords:
+            steps = [(e, Dir.DOWN)] + self.steps(bottom, top)
+            basis.append(Cycle(tuple(s[0] for s in steps), tuple(s[1] for s in steps)))
+        self.basis = tuple(basis)
+
+    def steps(self, a: tuple, b: tuple) -> list[tuple[str, Dir]]:
+        """The forest path from vertex a to vertex b of the same tree."""
+        up: list[tuple[str, Dir]] = []
+        down: list[tuple[str, Dir]] = []
+        while a != b:
+            if self.depth[a] >= self.depth[b]:
+                a, e, o = self.links[a]
+                up.append((e, o.flipped))
+            else:
+                b, e, o = self.links[b]
+                down.append((e, o))
+        return up + down[::-1]
+
+
 def cycle_basis(d: Diagram) -> list[Cycle]:
-    """A fundamental cycle basis of the generator graph.
+    """A fundamental cycle basis of the generator graph: one cycle per chord.
 
     Spans the cycle space: zero circulation on these implies zero on
     every simple cycle, so balance checks may use this instead of full
-    enumeration.
+    enumeration.  Built once per diagram with its spanning forest, in
+    time linear in the diagram plus the length of the cycles.
     """
-    parent: dict[tuple, tuple[tuple, str, Dir] | None] = {}
-    basis: list[Cycle] = []
-    internal = [
-        e
-        for e in d.edge_order
-        if vertex_of(d.top_of(e))[0] == "gen" and vertex_of(d.bottom_of(e))[0] == "gen"
-    ]
-    in_tree: set[str] = set()
-    for e in internal:
-        u = vertex_of(d.top_of(e))
-        v = vertex_of(d.bottom_of(e))
-        parent.setdefault(u, None)
-        parent.setdefault(v, None)
-
-    def root(v: tuple) -> tuple:
-        while parent[v] is not None:
-            v = parent[v][0]
-        return v
-
-    def tree_path(v: tuple) -> list[tuple[tuple, str, Dir]]:
-        """Steps from v up to its root: (parent_vertex, edge, dir_toward_parent)."""
-        steps = []
-        while parent[v] is not None:
-            steps.append(parent[v])
-            v = parent[v][0]
-        return steps
-
-    for e in internal:
-        u = vertex_of(d.top_of(e))
-        v = vertex_of(d.bottom_of(e))
-        if u == v:
-            basis.append(Cycle((e,), (Dir.DOWN,)))
-            continue
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            # hang rv's tree under u: re-root then attach
-            chain = []
-            node = v
-            while node is not None:
-                chain.append(node)
-                node = parent[node][0] if parent[node] else None
-            # re-root the v-tree at v
-            prev_link = None
-            for node in chain:
-                link = parent[node]
-                parent[node] = prev_link
-                if link is not None:
-                    prev_link = (node, link[1], link[2].flipped)
-            parent[v] = (u, e, Dir.UP)  # from v, edge e travels UP to u
-            in_tree.add(e)
-        else:
-            # fundamental cycle: e + tree path u..root + root..v reversed
-            up_u = tree_path(u)
-            up_v = tree_path(v)
-            # strip common suffix (shared ancestry)
-            while up_u and up_v and up_u[-1] == up_v[-1]:
-                up_u.pop()
-                up_v.pop()
-            steps: list[tuple[str, Dir]] = [(e, Dir.DOWN)]  # u -> v
-            for _, edge, toward in up_v:  # v -> lca
-                steps.append((edge, toward))
-            for _, edge, toward in reversed(up_u):  # lca -> u
-                steps.append((edge, toward.flipped))
-            basis.append(Cycle(tuple(s[0] for s in steps), tuple(s[1] for s in steps)))
-    return basis
+    return list(d._forest.basis)
 
 
 # -- components -----------------------------------------------------------

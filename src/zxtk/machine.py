@@ -41,7 +41,6 @@ import numpy as np
 
 from .diagram import (
     DEFAULT_PATH_LIMIT,
-    Cycle,
     Diagram,
     Dir,
     GenKind,
@@ -59,7 +58,6 @@ from .errors import (
     NormalFormReached,
     NotCycleBalanced,
     NotWellFormed,
-    PathLimitExceeded,
 )
 
 PRUNE_EPS = 1e-12
@@ -727,18 +725,17 @@ def normalize(
     rules: RuleTable = PURE_RULES,
     fuse: int | None = None,
     force: bool = False,
-    path_budget: int = 50_000,
 ) -> tuple[TokenState, Trace]:
     """Drive the state to its normal form.
 
     Every seed token must sit on an edge of the diagram and carry one
     0 or 1 per copy of `rules`, even under `force`.  The seed must also
     be cycle-balanced (or the run would diverge) and well-formed; both
-    are checked up front unless `force` is set.  The
-    well-formedness check is certified cheaply where possible and falls
-    back to exhaustive path enumeration capped at `path_budget`; past
-    the cap the run proceeds guarded by the step fuse alone, as it does
-    under `force`.
+    are checked up front unless `force` is set, and nothing else skips
+    them.  Both gates read the diagram's spanning forest, built once per
+    diagram: the balance gate checks polarity on its fundamental cycles,
+    and the well-formedness gate decides the balanced seed by a vertex
+    potential in time linear in the diagram, however many paths it has.
 
     Every step's state is collision-free: the first step collides the
     whole seed, and each later step collides only the branch terms its
@@ -755,8 +752,8 @@ def normalize(
                 "seed has nonzero polarity on a cycle; the run would not terminate",
                 witness=balanced.witness,
             )
-        formed = _well_formed_gated(d, state, path_budget)
-        if formed is not None and not formed:
+        formed = is_well_formed(d, state)
+        if not formed:
             raise NotWellFormed("seed breaks the one-token-per-path bound", witness=formed.witness)
     limit = _resolve_fuse(d, state, rules, fuse)
     strategy = make_strategy(scheduler)
@@ -795,95 +792,62 @@ class CheckResult:
         return self.ok
 
 
-_PATH_CACHE: dict[tuple, tuple[tuple[Path, ...], np.ndarray]] = {}
-_CYCLE_CACHE: dict[tuple, tuple[tuple[Cycle, ...], np.ndarray]] = {}
+def _potential(d: Diagram, term: Term) -> dict[tuple, int] | None:
+    """The term's vertex potential φ, or None when it is not cycle-balanced.
 
-
-def _orientation_matrix(d: Diagram, paths: Sequence[Path]) -> np.ndarray:
-    index = {e: i for i, e in enumerate(d.edge_order)}
-    m = np.zeros((len(paths), len(d.edge_order)), dtype=np.int8)
-    for r, p in enumerate(paths):
-        for e, o in zip(p.edges, p.dirs):
-            m[r, index[e]] = 1 if o is Dir.DOWN else -1
-    return m
-
-
-def _paths_cached(d: Diagram, cap: int) -> tuple[tuple[Path, ...], np.ndarray]:
-    key = (d, cap)
-    hit = _PATH_CACHE.get(key)
-    if hit is None:
-        paths = tuple(enumerate_paths(d, cap))
-        hit = (paths, _orientation_matrix(d, paths))
-        _PATH_CACHE[key] = hit
-    return hit
-
-
-def _cycles_cached(d: Diagram, mode: str) -> tuple[tuple[Cycle, ...], np.ndarray]:
-    key = (d, mode)
-    hit = _CYCLE_CACHE.get(key)
-    if hit is None:
-        cycles = tuple(cycle_basis(d) if mode == "basis" else enumerate_cycles(d))
-        hit = (cycles, _orientation_matrix(d, cycles))
-        _CYCLE_CACHE[key] = hit
-    return hit
-
-
-def _flow_vector(d: Diagram, term: Term) -> np.ndarray:
-    index = {e: i for i, e in enumerate(d.edge_order)}
-    f = np.zeros(len(d.edge_order), dtype=np.int64)
-    for t in term:
-        f[index[t.edge]] += 1 if t.direction is Dir.DOWN else -1
-    return f
-
-
-def _wf_fast(d: Diagram, term: Term) -> bool | None:
-    """Cheap sufficient conditions for well-formedness, None if undecided.
-
-    Either the term has less than two units of net flow in total, or
-    every token sits on its own boundary edge pointing into the
-    diagram; a path can touch at most two boundary edges (one per free
-    end) and meets inward tokens with opposite signs.
+    φ is 0 at each root of the diagram's spanning forest and moves by
+    the term's net down-flow across each forest edge, so that
+    φ(bottom) − φ(top) is the flow on every forest edge.  The term is
+    cycle-balanced exactly when every chord satisfies that too; then the
+    polarity of any path is φ(end) − φ(start).
     """
-    f = _flow_vector(d, term)
-    if np.abs(f).sum() < 2:
-        return True
-    edges = [t.edge for t in term]
-    if len(set(edges)) != len(edges):
-        return None
+    forest = d._forest
+    flow: dict[str, int] = {}
     for t in term:
-        top, bottom = vertex_of(d.top_of(t.edge)), vertex_of(d.bottom_of(t.edge))
-        inward = (top[0] == "in" and t.direction is Dir.DOWN) or (
-            bottom[0] == "out" and t.direction is Dir.UP
-        )
-        if not inward:
+        flow[t.edge] = flow.get(t.edge, 0) + (1 if t.direction is Dir.DOWN else -1)
+    phi: dict[tuple, int] = {}
+    for tree in forest.trees:
+        phi[tree[0]] = 0
+        for v in tree[1:]:
+            parent, e, o = forest.links[v]
+            f = flow.get(e, 0)
+            phi[v] = phi[parent] + (f if o is Dir.DOWN else -f)
+    for e, top, bottom in forest.chords:
+        if flow.get(e, 0) != phi[bottom] - phi[top]:
             return None
-    return True
+    return phi
 
 
-def is_well_formed(d: Diagram, s: "TokenState | Term", *, max_paths: int = DEFAULT_PATH_LIMIT) -> CheckResult:
-    """Every term must keep |polarity| <= 1 on every path."""
+def is_well_formed(d: Diagram, s: "TokenState | Term") -> CheckResult:
+    """Every term must keep |polarity| <= 1 on every path.
+
+    A cycle-balanced term is decided by its vertex potential in time
+    linear in the diagram: it is well-formed exactly when max φ − min φ
+    <= 1 on each component, and the witness is the forest path from the
+    argmin to the argmax, whose polarity is max φ − min φ.  A term that
+    is not cycle-balanced has no potential; it is checked on every path
+    of `enumerate_paths`.  No term is ever skipped.
+    """
     state = s if isinstance(s, TokenState) else TokenState.single(1.0, s)
-    paths, m = _paths_cached(d, max_paths)
+    forest = d._forest
+    paths = None
     for term in state.terms:
-        if _wf_fast(d, term) is True:
+        phi = _potential(d, term)
+        if phi is not None:
+            for tree in forest.trees:
+                low, high = min(tree, key=phi.__getitem__), max(tree, key=phi.__getitem__)
+                if phi[high] - phi[low] > 1:
+                    steps = forest.steps(low, high)
+                    witness = Path(tuple(e for e, _ in steps), tuple(o for _, o in steps))
+                    return CheckResult(False, (witness, term, phi[high] - phi[low]))
             continue
-        if not len(paths):
-            continue
-        p_values = m @ _flow_vector(d, term)
-        bad = np.flatnonzero(np.abs(p_values) > 1)
-        if bad.size:
-            i = int(bad[0])
-            return CheckResult(False, (paths[i], term, int(p_values[i])))
+        if paths is None:
+            paths = enumerate_paths(d)
+        for p in paths:
+            value = polarity(d, p, term)
+            if abs(value) > 1:
+                return CheckResult(False, (p, term, value))
     return CheckResult(True)
-
-
-def _well_formed_gated(d: Diagram, s: TokenState, path_budget: int) -> CheckResult | None:
-    if all(_wf_fast(d, term) is True for term in s.terms):
-        return CheckResult(True)
-    try:
-        return is_well_formed(d, s, max_paths=path_budget)
-    except PathLimitExceeded:
-        return None
 
 
 def is_cycle_balanced(
@@ -891,22 +855,23 @@ def is_cycle_balanced(
 ) -> CheckResult:
     """Every term must have zero polarity on every cycle.
 
-    The default checks a fundamental cycle basis; polarity is linear in
-    the cycle's edge incidences, so zero on the basis is zero
-    everywhere.  mode="exhaustive" enumerates all cycles instead.
+    The default checks `cycle_basis`, the fundamental cycles of the
+    diagram's spanning forest, built once per diagram and never
+    skipped: polarity is linear in the cycle's edge incidences, so zero
+    on the basis is zero everywhere.  A term costs one pass over the
+    basis per token.  The witness is the first basis cycle with nonzero
+    polarity.  mode="exhaustive" enumerates all cycles instead, up to
+    `max_cycles` candidates.
     """
     if mode not in ("basis", "exhaustive"):
         raise DiagramError(f"unknown cycle check mode {mode!r}")
     state = s if isinstance(s, TokenState) else TokenState.single(1.0, s)
-    cycles, m = _cycles_cached(d, mode)
-    if not len(cycles):
-        return CheckResult(True)
+    cycles = cycle_basis(d) if mode == "basis" else enumerate_cycles(d, max_cycles)
     for term in state.terms:
-        p_values = m @ _flow_vector(d, term)
-        bad = np.flatnonzero(p_values != 0)
-        if bad.size:
-            i = int(bad[0])
-            return CheckResult(False, (cycles[i], term, int(p_values[i])))
+        for c in cycles:
+            value = polarity(d, c, term)
+            if value:
+                return CheckResult(False, (c, term, value))
     return CheckResult(True)
 
 

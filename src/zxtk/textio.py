@@ -195,7 +195,10 @@ class _Parser:
             mult = num if num is not None else Fraction(1)
             if self.peek()[1] == "/":
                 self.take()
-                mult /= self.integer()
+                denominator = self.integer()
+                if denominator == 0:
+                    raise FormatError(f"angle at offset {pos} has a zero denominator")
+                mult /= denominator
             return Angle(pi_multiple=sign * mult)
         if kind != "num":
             raise DslSyntaxError(f"expected an angle, found {text!r}", position=pos)
@@ -344,7 +347,7 @@ def doc_to_state(doc: dict) -> TokenState:
             (_j2c(entry["coeff"]), [_token_from_json(v) for v in entry["tokens"]])
             for entry in doc["terms"]
         )
-    except (KeyError, TypeError, IndexError) as err:
+    except (KeyError, TypeError, IndexError, ValueError) as err:
         raise FormatError(f"malformed state document: {err}") from None
 
 

@@ -27,6 +27,7 @@ from .diagram import (
     connected_components,
     cpm_construct,
     enumerate_cycles,
+    enumerate_paths,
 )
 from .errors import FuseExceeded, NotCycleBalanced, NotWellFormed, ZxError
 from .ground import check_simulation, cpm_map, g_extract_superoperator
@@ -208,7 +209,8 @@ def _random_seed(d: Diagram, rng: random.Random, width: int = 1) -> TokenState |
             for e in chosen
         ]
         s = TokenState.single(1.0, toks)
-        if is_well_formed(d, s) and is_cycle_balanced(d, s):
+        # balance first: an unbalanced term would send is_well_formed to path enumeration
+        if is_cycle_balanced(d, s) and is_well_formed(d, s):
             return s
     seed = _boundary_seed(d, rng, width)
     if seed is not None:
@@ -342,6 +344,8 @@ def _trial_confluence(d: Diagram, rng: random.Random, schedulers: int) -> TrialR
 def _trial_invariants(d: Diagram, rng: random.Random) -> TrialResult:
     """Structure every run must keep.
 
+    The seed keeps |polarity| <= 1 on every path of `enumerate_paths`,
+    the definition the well-formedness gate decides by a potential.
     Along each trace: well-formedness at every state, constant cycle
     polarity for every term, visits bounded per generator on acyclic
     single-token runs, and a valid rewind witness for a surviving
@@ -352,6 +356,8 @@ def _trial_invariants(d: Diagram, rng: random.Random) -> TrialResult:
     if seed is None:
         return TrialResult(0, "skip", "no edges to seed")
     problems: list[str] = []
+    if any(abs(polarity(d, p, t)) > 1 for p in enumerate_paths(d) for t in seed.terms):
+        problems.append("the seed has polarity above 1 on a path")
     nf, trace = normalize(d, seed)
     for state in trace.states():
         if not is_well_formed(d, state):

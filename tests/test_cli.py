@@ -94,6 +94,12 @@ class TestInterp:
         code, _, err = run_main(capsys, "interp", str(p))
         assert code == 2 and "malformed diagram document" in err
 
+    def test_dsl_angle_over_zero_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "zero-den.zxd"
+        p.write_text("Z(1,1,pi/0)")
+        code, _, err = run_main(capsys, "interp", str(p))
+        assert code == 2 and err.startswith("error:") and "zero denominator" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "interp", str(tmp_path / "absent.zxd"))
         assert code == 2 and err.startswith("error: cannot read")
@@ -160,6 +166,16 @@ class TestRun:
         seed.write_text(serialize_state(TokenState.single(1.0, [Token("a1", D, (2,))])))
         code, _, err = run_main(capsys, "run", str(diagram), "--input", str(seed))
         assert code == 2 and err.startswith("error:") and "0 or 1" in err
+
+    def test_seed_bit_that_is_not_a_number_exits_2(self, capsys, tmp_path):
+        diagram = tmp_path / "h.zxd"
+        diagram.write_text("H ; H")
+        doc = json.loads(serialize_state(TokenState.single(1.0, [Token("a1", D, (0,))])))
+        doc["terms"][0]["tokens"][0]["bits"] = ["x"]
+        seed = tmp_path / "seed.state.json"
+        seed.write_text(json.dumps(doc))
+        code, _, err = run_main(capsys, "run", str(diagram), "--input", str(seed))
+        assert code == 2 and "malformed state document" in err
 
     def test_fuse_trip_is_a_verification_failure(self, capsys, cnot_zxd, monkeypatch):
         monkeypatch.setenv("ZXTK_FUSE", "2")

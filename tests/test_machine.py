@@ -21,6 +21,7 @@ from zxtk import (
     TokenState,
     collide_all,
     diffuse_once,
+    enumerate_cycles,
     enumerate_paths,
     extract_matrix,
     extract_matrix_general,
@@ -47,6 +48,7 @@ from zxtk.machine import (
     _target_endpoint,
     is_frozen,
 )
+from zxtk.diagram import validate_path
 from zxtk.textio import serialize_state
 from zxtk.errors import (
     DiagramError,
@@ -335,6 +337,16 @@ class TestWellFormedGate:
     def test_extraction_pair_is_fine(self, cnot):
         assert is_well_formed(cnot, term_key([tk("e1", D, 0), tk("e1", U, 0)]))
 
+    def test_gate_holds_on_diagrams_with_too_many_paths_to_list(self):
+        # cnot_chain(10) has over 100,000 paths; the gate reads no path list
+        chain = cnot_chain(10)
+        seed = TokenState.single(1.0, [tk("a1", D, 0), tk("a1", D, 1)])
+        with pytest.raises(NotWellFormed) as err:
+            normalize(chain, seed)
+        path, term, value = err.value.witness
+        validate_path(chain, path)
+        assert value == 2 and polarity(chain, path, term) == 2
+
 
 class TestCycleGate:
     def test_balance_check(self, loop):
@@ -482,6 +494,38 @@ def test_polarity_is_additive_over_tokens(index):
     assert polarity(d, p, term_key(toks[:1])) + polarity(d, p, term_key(toks[1:])) == polarity(
         d, p, term_key(toks)
     )
+
+
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=1 << 16))
+@settings(max_examples=40)
+def test_gates_agree_with_the_path_and_cycle_definitions(index, salt):
+    rng = random.Random(salt)
+    d = random_diagram(SMALL, index)
+    if not d.edge_order:
+        return
+    paths, cycles = enumerate_paths(d), enumerate_cycles(d)
+    boundary = list(d.inputs + d.outputs) or list(d.edge_order)
+    terms = [
+        # anything: mostly unbalanced once the diagram has a cycle
+        term_key(tk(rng.choice(d.edge_order), rng.choice((D, U)), 0) for _ in range(rng.randint(1, 4))),
+        # boundary tokens and an opposite pair: balanced when the diagram has a boundary, often not well-formed
+        term_key(
+            [tk(rng.choice(boundary), rng.choice((D, U)), 0) for _ in range(rng.randint(1, 3))]
+            + [tk(e, direction, 0) for e in rng.sample(d.edge_order, 1) for direction in (D, U)]
+        ),
+    ]
+    for term in terms:
+        balanced = is_cycle_balanced(d, term)
+        assert bool(balanced) == all(polarity(d, c, term) == 0 for c in cycles)
+        assert bool(balanced) == bool(is_cycle_balanced(d, term, mode="exhaustive"))
+        formed = is_well_formed(d, term)
+        assert bool(formed) == all(abs(polarity(d, p, term)) <= 1 for p in paths)
+        for check, bound in ((balanced, 0), (formed, 1)):
+            if not check:
+                path, witness_term, value = check.witness
+                validate_path(d, path)
+                assert witness_term == term and abs(value) > bound
+                assert polarity(d, path, term) == value
 
 
 # -- the incremental engine against the whole-state step ------------------------
