@@ -17,7 +17,7 @@ import cmath
 import numpy as np
 
 from .diagram import Diagram, GenKind, Generator, cpm_construct, vertex_of
-from .errors import GroundNotAllowed
+from .errors import DiagramError, GroundNotAllowed
 
 # H entry at (out, in) is (-1)^(out*in) / sqrt(2); 2**-0.5 is the
 # correctly rounded double, 1/sqrt(2) computed by division is one ulp off.
@@ -28,7 +28,10 @@ _DELTA = np.eye(2, dtype=complex)  # cup, cap and bare wires are the same tensor
 def generator_tensor(g: Generator) -> np.ndarray:
     """The generator's tensor, axes ordered outputs then inputs."""
     if g.kind is GenKind.Z:
-        t = np.zeros((2,) * g.arity, dtype=complex)
+        try:
+            t = np.zeros((2,) * g.arity, dtype=complex)
+        except ValueError:  # past numpy's axis or size cap
+            raise DiagramError(f"a {g.arity}-leg spider is past numpy's array limits") from None
         # += so the 0-arity spider comes out as the scalar 1 + e^{i angle}
         t[(0,) * g.arity] += 1.0
         t[(1,) * g.arity] += cmath.exp(1j * g.angle.to_radians)

@@ -23,8 +23,9 @@ only appear in a branch term the step's diffusion just emitted, so
 of every live term in canonical order across steps.  A step therefore
 costs one copy of the term dict (each step's state is kept in the
 trace) plus work proportional to the terms it touches: the consumed
-term and its branches.  The scheduler still scans the sites it is
-offered.
+term and its branches.  The sites sit in buckets by the scheduler's
+rank, so a ranked scheduler takes the first site of the lowest bucket
+and scans nothing.
 """
 
 from __future__ import annotations
@@ -505,15 +506,20 @@ def _depth_map(d: Diagram) -> dict[int, int]:
     return depth
 
 
-def _slice_ranks(d: Diagram) -> dict[tuple[str, Dir], int]:
-    """(edge, direction) -> depth of the generator a token there enters."""
+def _slice_rank(d: Diagram) -> Callable[[Term, Token], int]:
+    """A site's rank: the depth of the generator its token enters."""
     depth = _depth_map(d)
     targets = {
         (e, direction): _target_endpoint(d, Token(e, direction, ()))
         for e in d.edge_order
         for direction in Dir
     }
-    return {slot: depth[end[1]] for slot, end in targets.items() if end[0] == "gen"}
+    ranks = {slot: depth[end[1]] for slot, end in targets.items() if end[0] == "gen"}
+    return lambda term, token: ranks[token[:2]]
+
+
+# scheduler name -> per-diagram rank of a site; the run offers the lowest rank only
+_RANKS = {"sparse-first": lambda d: lambda term, token: len(term), "slice-order": _slice_rank}
 
 
 def make_strategy(spec: "str | Strategy") -> Strategy:
@@ -525,14 +531,21 @@ def make_strategy(spec: "str | Strategy") -> Strategy:
     slice-order          sweep generators top to bottom, mimicking
                          slice-by-slice evaluation of the matrix
 
-    The machine offers sites in canonical order and `min` keeps the
-    first of equal keys, so the ranked schedulers break ties
-    lexicographically without comparing sites.
+    The run keeps its sites in buckets by the rank named in `_RANKS`
+    and offers the lowest bucket, in canonical order; the ranked
+    schedulers take its first site, so ties break lexicographically.
+    The strategy carries its rank as `rank`, so passing it back as a
+    scheduler keeps its order.
     """
     if callable(spec):
         return spec
-    if spec == "deterministic":
-        return lambda d, s, sites: sites[0]
+    if spec == "deterministic" or spec in _RANKS:
+
+        def first(d: Diagram, s: TokenState, sites: Sequence[Site]) -> Site:
+            return sites[0]
+
+        first.rank = _RANKS.get(spec)
+        return first
     if spec == "random" or spec.startswith("random:"):
         try:
             seed = int(spec.split(":", 1)[1]) if ":" in spec else 0
@@ -540,18 +553,6 @@ def make_strategy(spec: "str | Strategy") -> Strategy:
             raise DiagramError(f"scheduler {spec!r} wants an integer seed after 'random:'") from None
         rng = random.Random(seed)
         return lambda d, s, sites: sites[rng.randrange(len(sites))]
-    if spec == "sparse-first":
-        return lambda d, s, sites: min(sites, key=lambda site: len(site[0]))
-    if spec == "slice-order":
-        memo: list = [None, {}]  # the last diagram seen and its ranks
-
-        def pick(d: Diagram, s: TokenState, sites: Sequence[Site]) -> Site:
-            if memo[0] is not d:
-                memo[:] = [d, _slice_ranks(d)]
-            rank = memo[1]
-            return min(sites, key=lambda site: rank[site[1][:2]])
-
-        return pick
     raise DiagramError(f"unknown scheduler {spec!r}")
 
 
@@ -623,14 +624,16 @@ class _Run:
     """The machine state kept across the steps of one run.
 
     Holds the current state, the active sites of every live term
-    (`sites_of`, and `sites` flattened in canonical order), and whether
-    the state is collision-free yet: the seed may hold pairs, so the
-    first step collides every term and later steps only their branches.
+    (`sites_of`, as (rank, sites) groups, and `buckets`, each rank's
+    sites in canonical order; an unranked run has one bucket), and
+    whether the state is collision-free yet: the seed may hold pairs, so
+    the first step collides every term and later steps only their
+    branches.
     The seed's tokens are checked on entry: each must sit on an edge of
     the diagram and carry one 0 or 1 per copy of the rule table.
     """
 
-    def __init__(self, d: Diagram, state: TokenState, rules: RuleTable):
+    def __init__(self, d: Diagram, state: TokenState, rules: RuleTable, scheduler: "str | Strategy"):
         edges = d.edges
         for token in state.tokens():
             if token.edge not in edges:
@@ -640,16 +643,18 @@ class _Run:
         self.rules = rules
         self.state = state
         self.frozen = _frozen_table(d)
-        self.sites_of: dict[Term, tuple[Site, ...]] = {}
-        self.sites: list[Site] = []
+        ranked = _RANKS.get(scheduler) if isinstance(scheduler, str) else getattr(scheduler, "rank", None)
+        self.rank = ranked and ranked(d)
+        self.sites_of: dict[Term, tuple[tuple[int, Sequence[Site]], ...]] = {}
+        self.buckets: dict[int, list[Site]] = {}
         self._resite(state.terms, sorted(state.terms))
         self.settled = False
 
     def step(self, strategy: Strategy, index: int) -> TraceStep:
-        if not self.sites:
+        if not self.buckets:
             raise NormalFormReached("every token points at a boundary slot")
         d, rules = self.d, self.rules
-        term, token = strategy(d, self.state, self.sites)
+        term, token = strategy(d, self.state, self.buckets[min(self.buckets)])
         gi, rule_name, branches = _apply_rule(d, token, rules)
         after = diffuse_once(d, self.state, (term, token), rules=rules, branches=branches)
         rest = _remove_one(term, token)
@@ -677,16 +682,32 @@ class _Run:
 
     def _resite(self, terms: dict[Term, complex], keys: Iterable[Term]) -> None:
         """Bring the sites of `keys` in line with their presence in `terms`."""
+        buckets = self.buckets
         for key in keys:
             tracked = key in self.sites_of
             if tracked == (key in terms):
                 continue
-            at = bisect_left(self.sites, (key,))
             if tracked:
-                del self.sites[at : at + len(self.sites_of.pop(key))]
+                for rank, group in self.sites_of.pop(key):
+                    bucket = buckets[rank]
+                    at = bisect_left(bucket, (key,))
+                    del bucket[at : at + len(group)]
+                    if not bucket:
+                        del buckets[rank]
+                continue
+            found = _term_sites(key, self.frozen)
+            if self.rank is None:
+                groups = ((0, found),) if found else ()
             else:
-                self.sites_of[key] = found = _term_sites(key, self.frozen)
-                self.sites[at:at] = found
+                by_rank: dict[int, list[Site]] = {}
+                for site in found:
+                    by_rank.setdefault(self.rank(*site), []).append(site)
+                groups = tuple(by_rank.items())
+            self.sites_of[key] = groups
+            for rank, group in groups:
+                bucket = buckets.setdefault(rank, [])
+                at = bisect_left(bucket, (key,))
+                bucket[at:at] = group
 
 
 def step(
@@ -697,7 +718,7 @@ def step(
     rules: RuleTable = PURE_RULES,
 ) -> TokenState:
     """One machine move: a scheduled diffusion, then all collisions."""
-    return _Run(d, TokenState.coerce(s), rules).step(make_strategy(scheduler), 0).state_after
+    return _Run(d, TokenState.coerce(s), rules, scheduler).step(make_strategy(scheduler), 0).state_after
 
 
 def _resolve_fuse(d: Diagram, s: TokenState, rules: RuleTable, fuse: int | None) -> int:
@@ -744,7 +765,7 @@ def normalize(
     not a re-sort and re-collision of the whole state.
     """
     state = TokenState.coerce(s)
-    run = _Run(d, state, rules)
+    run = _Run(d, state, rules, scheduler)
     if not force:
         balanced = is_cycle_balanced(d, state)
         if not balanced:

@@ -100,6 +100,12 @@ class TestInterp:
         code, _, err = run_main(capsys, "interp", str(p))
         assert code == 2 and err.startswith("error:") and "zero denominator" in err
 
+    def test_spider_past_the_array_axis_cap_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "wide.zxd"
+        p.write_text("Z(1,73,0)")
+        code, _, err = run_main(capsys, "interp", str(p))
+        assert code == 2 and err.startswith("error:") and "74-leg spider" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "interp", str(tmp_path / "absent.zxd"))
         assert code == 2 and err.startswith("error: cannot read")

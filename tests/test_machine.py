@@ -1,6 +1,7 @@
 """The asynchronous token machine: rules, runs, gates, extraction."""
 
 import cmath
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -39,6 +40,7 @@ from zxtk import (
     tensor,
     term_key,
 )
+from zxtk import machine
 from zxtk.machine import (
     GROUND_RULES,
     _active_sites,
@@ -47,9 +49,10 @@ from zxtk.machine import (
     _depth_map,
     _target_endpoint,
     is_frozen,
+    make_strategy,
 )
 from zxtk.diagram import validate_path
-from zxtk.textio import serialize_state
+from zxtk.textio import serialize_state, serialize_trace
 from zxtk.errors import (
     DiagramError,
     FuseExceeded,
@@ -583,6 +586,9 @@ def _equivalence_cases():
         yield f"chain{k}-inputs", chain, inputs, PURE_RULES
         yield f"chain{k}-pair", chain, TokenState.single(1.0, [tk(mid, D, 1), tk(mid, U, 1)]), PURE_RULES
         yield f"chain{k}-pairs", chain, _pair_seed(chain, mid, 1), PURE_RULES
+    # slice-order spreads this run's sites over many ranks, tied across terms
+    chain = cnot_chain(5)
+    yield "chain5-inputs", chain, TokenState.single(1.0, [tk(e, D, 1) for e in chain.inputs]), PURE_RULES
     # duplicate tokens break well-formedness, so only forced runs meet them;
     # their runs grow fast, so the smallest circuit
     cnot = cnot_diagram()
@@ -614,6 +620,68 @@ def test_incremental_steps_match_the_whole_state_step(spec):
         if want:
             first = step(d, seed, spec, rules=rules)
             assert serialize_state(first) == serialize_state(want[0][-1]), label
+
+
+# -- traces pinned to bytes ---------------------------------------------------------
+
+PINNED_SCHEDULERS = ("deterministic", "sparse-first", "slice-order", "random:5")
+
+# SHA-256 over the serialized trace and final term order of every _pinned_corpus
+# run, scheduler by scheduler; a change to the engine or a scheduler must keep it
+PINNED_TRACE_DIGEST = "9aa3575e4116f826c82381a0febc9b32dad1286d7b1e2bf76b54604cbdca0e23"
+
+
+def _pinned_corpus(spec):
+    for k in range(1, 6):
+        chain = cnot_chain(k)
+        for bits in ((0, 1), (1, 1)):
+            yield chain, TokenState.single(1.0, [tk(e, D, b) for e, b in zip(chain.inputs, bits)]), PURE_RULES
+        # random runs of the longer chains from a pair write traces of hundreds of MB
+        if k <= 3 or not spec.startswith("random"):
+            a = chain.inputs[0]
+            yield chain, TokenState.single(1.0, [tk(a, D, 1), tk(a, U, 1)]), PURE_RULES
+    for ground, rules, width in ((False, PURE_RULES, 1), (True, GROUND_RULES, 2)):
+        cfg = GenConfig(seed=3, max_generators=8, max_inputs=3, max_outputs=3, allow_ground=ground)
+        for i in range(40):
+            d = random_diagram(cfg, i)
+            seed = _random_seed(d, random.Random(i), width)
+            if seed is not None:
+                yield d, seed, rules
+
+
+def _pinned_digest():
+    digest = hashlib.sha256()
+    for spec in PINNED_SCHEDULERS:
+        for d, seed, rules in _pinned_corpus(spec):
+            nf, trace = normalize(d, seed, spec, rules=rules)
+            digest.update(serialize_trace(trace).encode())
+            digest.update(repr(list(nf.terms.items())).encode())
+    return digest.hexdigest()
+
+
+def test_traces_match_their_pinned_bytes():
+    assert _pinned_digest() == PINNED_TRACE_DIGEST
+
+
+def test_scheduler_order_survives_wrapping(monkeypatch):
+    chain = cnot_chain(4)
+    seeds = [
+        TokenState.single(1.0, [tk(e, D, 1) for e in chain.inputs]),
+        TokenState.single(1.0, [tk(chain.inputs[0], D, 1), tk(chain.inputs[0], U, 1)]),
+    ]
+    specs = ("sparse-first", "slice-order")
+    want = [serialize_trace(normalize(chain, seed, spec)[1]) for spec in specs for seed in seeds]
+    strategy = make_strategy("slice-order")
+    assert serialize_trace(normalize(chain, seeds[0], strategy)[1]) == want[len(seeds)]
+    # a tracer hands the run a bare closure around whatever the factory built
+    factory = machine.make_strategy
+
+    def wrapped(spec):
+        inner = factory(spec)
+        return lambda d, s, sites: inner(d, s, sites)
+
+    monkeypatch.setattr(machine, "make_strategy", wrapped)
+    assert [serialize_trace(normalize(chain, seed, spec)[1]) for spec in specs for seed in seeds] == want
 
 
 # -- the rule table against the pure and two-bit tables it replaced -------------
