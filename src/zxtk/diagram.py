@@ -273,7 +273,7 @@ class Diagram:
 
     @cached_property
     def _forest(self) -> "_Forest":
-        """The spanning forest both seed gates read."""
+        """The spanning forest: cycles, components and both seed gates read it."""
         return _Forest(self)
 
     def endpoints(self, edge: str) -> tuple[Endpoint, Endpoint]:
@@ -574,14 +574,18 @@ def _iter_directed_paths(
             stack.append((steps + ((e, o),), nxt, visited | {nxt}))
 
 
-def enumerate_paths(d: Diagram, max_paths: int = DEFAULT_PATH_LIMIT) -> list[Path]:
-    """Every path of d, one representative per direction-reversal pair."""
+def enumerate_paths(d: Diagram) -> list[Path]:
+    """Every path of d, one representative per direction-reversal pair.
+
+    Exponential in general: raises PathLimitExceeded past
+    `DEFAULT_PATH_LIMIT` directed paths.
+    """
     seen = set()
     out = []
     counter = [0]
     for e in d.edge_order:
         for o in (Dir.DOWN, Dir.UP):
-            for steps in _iter_directed_paths(d, (e, o), counter, max_paths):
+            for steps in _iter_directed_paths(d, (e, o), counter, DEFAULT_PATH_LIMIT):
                 rev = tuple((f, q.flipped) for f, q in reversed(steps))
                 key = min(steps, rev)
                 if key in seen:
@@ -591,8 +595,13 @@ def enumerate_paths(d: Diagram, max_paths: int = DEFAULT_PATH_LIMIT) -> list[Pat
     return out
 
 
-def enumerate_cycles(d: Diagram, max_cycles: int = DEFAULT_PATH_LIMIT) -> list[Cycle]:
-    """Every simple cycle, one representative per rotation/reversal class."""
+def enumerate_cycles(d: Diagram) -> list[Cycle]:
+    """Every simple cycle, one representative per rotation/reversal class.
+
+    Exponential in general: raises PathLimitExceeded past
+    `DEFAULT_PATH_LIMIT` candidates.  To learn only whether a cycle
+    exists, test `cycle_basis` instead.
+    """
     seen = set()
     out = []
     counter = [0]
@@ -619,8 +628,8 @@ def enumerate_cycles(d: Diagram, max_cycles: int = DEFAULT_PATH_LIMIT) -> list[C
             while stack:
                 steps, head, visited = stack.pop()
                 counter[0] += 1
-                if counter[0] > max_cycles:
-                    raise PathLimitExceeded(f"more than {max_cycles} cycle candidates")
+                if counter[0] > DEFAULT_PATH_LIMIT:
+                    raise PathLimitExceeded(f"more than {DEFAULT_PATH_LIMIT} cycle candidates")
                 if head[0] != "gen":
                     continue
                 for f, q in _leaving(d, head, steps[-1][0]):
@@ -641,14 +650,16 @@ def enumerate_cycles(d: Diagram, max_cycles: int = DEFAULT_PATH_LIMIT) -> list[C
 class _Forest:
     """A breadth-first spanning forest of the vertex graph, boundary slots included.
 
-    `trees` lists each component's vertices, its first vertex (the
-    root) first and every parent before its children; `links` maps each
-    other vertex to (parent, edge, direction from the parent).  The edges
-    off the forest are its `chords` (edge, top vertex, bottom vertex),
-    self-loops included, and `basis` holds the fundamental cycle of
-    each: down the chord, then back through the forest.  A boundary slot
-    has one edge, so no chord ends at it and no forest path passes
-    through it.
+    Every structural question about the diagram is read off it.
+    `trees` lists each connected component's vertices, its first vertex
+    (the root) first and every parent before its children; `links` maps
+    each other vertex to (parent, edge, direction from the parent).  The
+    edges off the forest are its `chords` (edge, top vertex, bottom
+    vertex), self-loops included, so the diagram has a cycle exactly
+    when it has a chord; `basis` holds the fundamental cycle of each:
+    down the chord, then back through the forest.  A boundary slot has
+    one edge, so no chord ends at it and no forest path passes through
+    it.
     """
 
     def __init__(self, d: Diagram):
@@ -701,8 +712,9 @@ def cycle_basis(d: Diagram) -> list[Cycle]:
 
     Spans the cycle space: zero circulation on these implies zero on
     every simple cycle, so balance checks may use this instead of full
-    enumeration.  Built once per diagram with its spanning forest, in
-    time linear in the diagram plus the length of the cycles.
+    enumeration, and the basis is empty exactly when d has no cycle.
+    Built once per diagram with its spanning forest, in time linear in
+    the diagram plus the length of the cycles.
     """
     return list(d._forest.basis)
 
@@ -720,44 +732,21 @@ class ComponentMap:
 
 
 def connected_components(d: Diagram) -> list[tuple[Diagram, ComponentMap]]:
-    """Split into connected pieces, labels preserved.
+    """Split into connected pieces, labels preserved: one per spanning tree.
 
     Ordered by first appearance (input slots, then output slots, then
     generator index).
     """
-    parent: dict[tuple, tuple] = {}
-
-    def find(v: tuple) -> tuple:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: tuple, b: tuple) -> None:
-        parent[find(a)] = find(b)
-
-    verts = list(d.incidence.keys())
-    for v in verts:
-        parent[v] = v
-    for e in d.edge_order:
-        union(vertex_of(d.top_of(e)), vertex_of(d.bottom_of(e)))
-
     scan: list[tuple] = [("in", k) for k in range(d.n_inputs)]
     scan += [("out", k) for k in range(d.n_outputs)]
     scan += [("gen", i) for i in range(len(d.generators))]
-    roots: dict[tuple, int] = {}
-    for v in scan:
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-
+    rank = {v: n for n, v in enumerate(scan)}
     pieces = []
-    for r, _ in sorted(roots.items(), key=lambda kv: kv[1]):
-        gen_idx = tuple(
-            i for i in range(len(d.generators)) if find(("gen", i)) == r
-        )
-        in_slots = tuple(k for k in range(d.n_inputs) if find(("in", k)) == r)
-        out_slots = tuple(k for k in range(d.n_outputs) if find(("out", k)) == r)
+    trees = [sorted(tree, key=rank.__getitem__) for tree in d._forest.trees]
+    for tree in sorted(trees, key=lambda t: rank[t[0]]):
+        in_slots = tuple(k for kind, k in tree if kind == "in")
+        out_slots = tuple(k for kind, k in tree if kind == "out")
+        gen_idx = tuple(i for kind, i in tree if kind == "gen")
         piece = Diagram(
             tuple(d.generators[i] for i in gen_idx),
             tuple(d.inputs[k] for k in in_slots),

@@ -71,6 +71,7 @@ class SimulationReport:
     ok: bool
     steps: list[SimulatedStep]
     ground_moves: int
+    normal_form: TokenState
     message: str = ""
 
     def __bool__(self) -> bool:
@@ -146,7 +147,9 @@ def check_simulation(
     if ok and not pure_state.allclose(cpm_map(nf, d), atol):
         ok = False
         message = "final states disagree"
-    return SimulationReport(ok=ok, steps=steps, ground_moves=ground_moves, message=message)
+    return SimulationReport(
+        ok=ok, steps=steps, ground_moves=ground_moves, normal_form=nf, message=message
+    )
 
 
 def g_extract_superoperator(

@@ -41,13 +41,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .diagram import (
-    DEFAULT_PATH_LIMIT,
     Diagram,
     Dir,
     GenKind,
     Path,
     cycle_basis,
-    enumerate_cycles,
     enumerate_paths,
     vertex_of,
 )
@@ -121,11 +119,13 @@ class TokenState:
         """Terms in sorted order; the stable form used for comparison."""
         return tuple((k, self.terms[k]) for k in sorted(self.terms))
 
-    def allclose(self, other: "TokenState", atol: float = 1e-9) -> bool:
+    def deviation(self, other: "TokenState") -> float:
+        """Largest coefficient difference over the terms of either state."""
         keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) <= atol for k in keys
-        )
+        return max((abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys), default=0.0)
+
+    def allclose(self, other: "TokenState", atol: float = 1e-9) -> bool:
+        return self.deviation(other) <= atol
 
     def __add__(self, other: "TokenState") -> "TokenState":
         acc = dict(self.terms)
@@ -754,9 +754,8 @@ def normalize(
     be cycle-balanced (or the run would diverge) and well-formed; both
     are checked up front unless `force` is set, and nothing else skips
     them.  Both gates read the diagram's spanning forest, built once per
-    diagram: the balance gate checks polarity on its fundamental cycles,
-    and the well-formedness gate decides the balanced seed by a vertex
-    potential in time linear in the diagram, however many paths it has.
+    diagram, and decide the seed by its vertex potential in time linear
+    in the diagram, however many cycles and paths it has.
 
     Every step's state is collision-free: the first step collides the
     whole seed, and each later step collides only the branch terms its
@@ -813,14 +812,16 @@ class CheckResult:
         return self.ok
 
 
-def _potential(d: Diagram, term: Term) -> dict[tuple, int] | None:
-    """The term's vertex potential φ, or None when it is not cycle-balanced.
+def _potential(d: Diagram, term: Term) -> tuple[dict[tuple, int], int | None]:
+    """The term's vertex potential φ and the index of its first unbalanced chord.
 
     φ is 0 at each root of the diagram's spanning forest and moves by
     the term's net down-flow across each forest edge, so that
-    φ(bottom) − φ(top) is the flow on every forest edge.  The term is
-    cycle-balanced exactly when every chord satisfies that too; then the
-    polarity of any path is φ(end) − φ(start).
+    φ(bottom) − φ(top) is the flow on every forest edge.  A chord whose
+    flow differs from that has nonzero polarity on its fundamental
+    cycle, `cycle_basis(d)` at the same index.  When no chord does
+    (index None) the term is cycle-balanced, and the polarity of any
+    path is φ(end) − φ(start).
     """
     forest = d._forest
     flow: dict[str, int] = {}
@@ -833,10 +834,10 @@ def _potential(d: Diagram, term: Term) -> dict[tuple, int] | None:
             parent, e, o = forest.links[v]
             f = flow.get(e, 0)
             phi[v] = phi[parent] + (f if o is Dir.DOWN else -f)
-    for e, top, bottom in forest.chords:
+    for i, (e, top, bottom) in enumerate(forest.chords):
         if flow.get(e, 0) != phi[bottom] - phi[top]:
-            return None
-    return phi
+            return phi, i
+    return phi, None
 
 
 def is_well_formed(d: Diagram, s: "TokenState | Term") -> CheckResult:
@@ -846,15 +847,18 @@ def is_well_formed(d: Diagram, s: "TokenState | Term") -> CheckResult:
     linear in the diagram: it is well-formed exactly when max φ − min φ
     <= 1 on each component, and the witness is the forest path from the
     argmin to the argmax, whose polarity is max φ − min φ.  A term that
-    is not cycle-balanced has no potential; it is checked on every path
-    of `enumerate_paths`.  No term is ever skipped.
+    is not cycle-balanced has no potential; it is checked path by path
+    over `enumerate_paths`, which is exponential in general and raises
+    PathLimitExceeded on large diagrams (`cnot_chain(10)` gets there
+    after seconds).  `normalize` never takes that branch, because its
+    balance gate refuses such a seed first.  No term is ever skipped.
     """
     state = s if isinstance(s, TokenState) else TokenState.single(1.0, s)
     forest = d._forest
     paths = None
     for term in state.terms:
-        phi = _potential(d, term)
-        if phi is not None:
+        phi, unbalanced = _potential(d, term)
+        if unbalanced is None:
             for tree in forest.trees:
                 low, high = min(tree, key=phi.__getitem__), max(tree, key=phi.__getitem__)
                 if phi[high] - phi[low] > 1:
@@ -871,28 +875,24 @@ def is_well_formed(d: Diagram, s: "TokenState | Term") -> CheckResult:
     return CheckResult(True)
 
 
-def is_cycle_balanced(
-    d: Diagram, s: "TokenState | Term", *, mode: str = "basis", max_cycles: int = DEFAULT_PATH_LIMIT
-) -> CheckResult:
+def is_cycle_balanced(d: Diagram, s: "TokenState | Term") -> CheckResult:
     """Every term must have zero polarity on every cycle.
 
-    The default checks `cycle_basis`, the fundamental cycles of the
-    diagram's spanning forest, built once per diagram and never
-    skipped: polarity is linear in the cycle's edge incidences, so zero
-    on the basis is zero everywhere.  A term costs one pass over the
-    basis per token.  The witness is the first basis cycle with nonzero
-    polarity.  mode="exhaustive" enumerates all cycles instead, up to
-    `max_cycles` candidates.
+    Polarity is linear in a cycle's edge incidences, so zero on the
+    fundamental cycles of the diagram's spanning forest (`cycle_basis`)
+    is zero everywhere.  A term is checked on all of them at once, in
+    time linear in the diagram, by comparing each chord's flow with the
+    term's vertex potential; no term is skipped.  The witness is the
+    first basis cycle with nonzero polarity, for the first term that
+    has one.
     """
-    if mode not in ("basis", "exhaustive"):
-        raise DiagramError(f"unknown cycle check mode {mode!r}")
     state = s if isinstance(s, TokenState) else TokenState.single(1.0, s)
-    cycles = cycle_basis(d) if mode == "basis" else enumerate_cycles(d, max_cycles)
+    cycles = cycle_basis(d)
     for term in state.terms:
-        for c in cycles:
-            value = polarity(d, c, term)
-            if value:
-                return CheckResult(False, (c, term, value))
+        _, unbalanced = _potential(d, term)
+        if unbalanced is not None:
+            c = cycles[unbalanced]
+            return CheckResult(False, (c, term, polarity(d, c, term)))
     return CheckResult(True)
 
 

@@ -26,6 +26,7 @@ from .diagram import (
     canonical_relabel,
     connected_components,
     cpm_construct,
+    cycle_basis,
     enumerate_cycles,
     enumerate_paths,
 )
@@ -33,7 +34,6 @@ from .errors import FuseExceeded, NotCycleBalanced, NotWellFormed, ZxError
 from .ground import check_simulation, cpm_map, g_extract_superoperator
 from .interp import interp, interp_cpm
 from .machine import (
-    GROUND_RULES,
     Token,
     TokenState,
     extract_matrix,
@@ -122,7 +122,7 @@ def random_diagram(cfg: GenConfig, index: int = 0) -> Diagram:
         # generator-free configs are exempt, bare wires cannot connect
         if cfg.require_connected and cfg.max_generators > 0 and len(connected_components(d)) > 1:
             continue
-        if cfg.require_acyclic and enumerate_cycles(d):
+        if cfg.require_acyclic and cycle_basis(d):
             continue
         return canonical_relabel(d)
     raise ZxError(f"could not build a diagram for seed {cfg.seed} index {index}")
@@ -332,12 +332,7 @@ def _trial_confluence(d: Diagram, rng: random.Random, schedulers: int) -> TrialR
     names = ["deterministic", "sparse-first", "slice-order"]
     names += [f"random:{rng.randrange(1 << 30)}" for _ in range(max(0, schedulers - len(names)))]
     results = [normalize(d, seed, nm)[0] for nm in names[:schedulers]]
-    base = results[0]
-    dev = 0.0
-    for other in results[1:]:
-        keys = set(base.terms) | set(other.terms)
-        for k in keys:
-            dev = max(dev, abs(base.terms.get(k, 0j) - other.terms.get(k, 0j)))
+    dev = max((results[0].deviation(other) for other in results[1:]), default=0.0)
     return TrialResult(0, "pass" if dev < 1e-9 else "fail", deviation=dev)
 
 
@@ -412,12 +407,9 @@ def _trial_simulation(d: Diagram, rng: random.Random) -> TrialResult:
     rep = check_simulation(d, seed)
     if not rep.ok:
         return TrialResult(0, "fail", rep.message)
-    nf_g, _ = normalize(d, seed, rules=GROUND_RULES)
     nf_p, _ = normalize(cpm_construct(d), cpm_map(seed, d))
-    image = cpm_map(nf_g, d)
-    keys = set(image.terms) | set(nf_p.terms)
-    dev = max((abs(image.terms.get(k, 0j) - nf_p.terms.get(k, 0j)) for k in keys), default=0.0)
-    return TrialResult(0, "pass" if dev < 1e-9 else "fail", deviation=float(dev))
+    dev = cpm_map(rep.normal_form, d).deviation(nf_p)
+    return TrialResult(0, "pass" if dev < 1e-9 else "fail", deviation=dev)
 
 
 # -- suites ------------------------------------------------------------------

@@ -277,6 +277,25 @@ def test_components_partition_generators(index):
     comps = connected_components(d)
     indices = sorted(i for _, cmap in comps for i in cmap.generator_indices)
     assert indices == list(range(len(d.generators)))
+    # pieces come in first-appearance order: input slots, output slots, generators
+    order = [("in", k) for k in range(d.n_inputs)] + [("out", k) for k in range(d.n_outputs)]
+    order += [("gen", i) for i in range(len(d.generators))]
+    piece_of = {}
+    for n, (_, cmap) in enumerate(comps):
+        piece_of.update((("in", k), n) for k in cmap.input_slots)
+        piece_of.update((("out", k), n) for k in cmap.output_slots)
+        piece_of.update((("gen", i), n) for i in cmap.generator_indices)
+    firsts = list(dict.fromkeys(piece_of[v] for v in order))
+    assert firsts == list(range(len(comps)))
+    # and no edge joins two pieces
+    for e in d.edge_order:
+        assert piece_of[vertex_of(d.top_of(e))] == piece_of[vertex_of(d.bottom_of(e))]
+
+
+@given(st.integers(min_value=0, max_value=80), st.booleans())
+def test_cycle_basis_is_empty_exactly_when_acyclic(index, connected):
+    d = random_diagram(GenConfig(seed=99, require_connected=connected), index)
+    assert bool(cycle_basis(d)) == bool(enumerate_cycles(d))
 
 
 def test_vertex_of_boundary_and_generator():
