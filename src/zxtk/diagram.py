@@ -276,6 +276,22 @@ class Diagram:
         """The spanning forest: cycles, components and both seed gates read it."""
         return _Forest(self)
 
+    @cached_property
+    def _moves(self) -> "dict[tuple[str, Dir], tuple[int, tuple[tuple[str, Dir], ...]] | None]":
+        """The machine's move table: (edge, direction) -> (generator index, legs).
+
+        A token in that slot enters the generator, and `legs` lists its
+        other legs with the direction that leaves it: inputs up, outputs
+        down.  The slot maps to None where the token heads for a boundary
+        slot instead, so nothing moves it.
+        """
+        moves: dict = dict.fromkeys((e, o) for e in self.edge_order for o in Dir)
+        for i, g in enumerate(self.generators):
+            legs = tuple((e, Dir.UP) for e in g.ins) + tuple((e, Dir.DOWN) for e in g.outs)
+            for k, (e, out) in enumerate(legs):
+                moves[e, out.flipped] = (i, legs[:k] + legs[k + 1 :])
+        return moves
+
     def endpoints(self, edge: str) -> tuple[Endpoint, Endpoint]:
         return (self.top_of(edge), self.bottom_of(edge))
 

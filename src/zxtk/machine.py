@@ -16,6 +16,12 @@ parameter.  Seeds are allowed to start with collision pairs on an edge
 (that is how whole-matrix extraction is seeded); collisions only fire
 after the first diffusion, which consumes half of the pair.
 
+A move is local: it depends only on the (edge, direction) slot of the
+token and on its bits.  So each diagram compiles its moves once, into
+`Diagram._moves`: the generator a token in each slot enters and the
+legs it leaves by, or None where the token heads for a boundary slot.
+Rules, frozen tests, sites and ranks all read that table.
+
 Collision invariant: the state after every step is collision-free.
 The first step collides every term of the seed; after that a pair can
 only appear in a branch term the step's diffusion just emitted, so
@@ -44,6 +50,7 @@ from .diagram import (
     Diagram,
     Dir,
     GenKind,
+    Generator,
     Path,
     cycle_basis,
     enumerate_paths,
@@ -185,9 +192,14 @@ class RuleTable:
     machine runs the diagram beside its conjugate, the doubled diagram
     of the CPM construction, where a ground is a cup joining the copies.
 
-    `diffuse` returns the branches replacing a token that entered
-    generator `g` at the given side/port: a list of (factor, emitted
-    tokens).  An empty list means the term is erased (factor 0).
+    `diffuse` returns the branches replacing a token with payload `bits`
+    that entered generator `g`: a list of (factor, emitted tokens).  An
+    empty list means the term is erased (factor 0).  `legs` are the
+    generator's other legs, each with the direction leaving it, as the
+    diagram's move table (`Diagram._moves`) lists them, so the table
+    only chooses factors and bits: H opens one branch per payload on its
+    other leg, a ground erases the token or the term, and Z, cup and cap
+    send the payload out of every other leg.
     """
 
     def __init__(self, name: str, signs: tuple[int, ...]):
@@ -207,39 +219,19 @@ class RuleTable:
             for x in self._patterns
         }
 
-    @staticmethod
-    def _spider_emissions(g, port_side: str, port: int, bits: tuple[int, ...]) -> tuple[Token, ...]:
-        # every other leg of the spider fires away from it: inputs up, outputs down
-        out = []
-        for p, e in enumerate(g.ins):
-            if not (port_side == "in" and p == port):
-                out.append(Token(e, Dir.UP, bits))
-        for p, e in enumerate(g.outs):
-            if not (port_side == "out" and p == port):
-                out.append(Token(e, Dir.DOWN, bits))
-        return tuple(out)
-
-    def diffuse(self, g, gen_kind: GenKind, port_side: str, port: int, token: Token) -> list[Branch]:
-        bits = token.bits
-        if gen_kind is GenKind.Z:
-            phase = cmath.exp(1j * g.angle.to_radians * self._weight[bits])
-            return [(phase, self._spider_emissions(g, port_side, port, bits))]
-        if gen_kind is GenKind.H:
-            other = g.outs[0] if port_side == "in" else g.ins[0]
-            direction = Dir.DOWN if port_side == "in" else Dir.UP
-            return [(factor, (Token(other, direction, z),)) for factor, z in self._hadamard[bits]]
-        if gen_kind is GenKind.CUP:
-            return [(1.0 + 0j, (Token(g.ins[1 - port], Dir.UP, bits),))]
-        if gen_kind is GenKind.CAP:
-            return [(1.0 + 0j, (Token(g.outs[1 - port], Dir.DOWN, bits),))]
-        if self.bit_width == 1:
-            raise GroundNotAllowed(
-                "pure tokens cannot enter a ground; run the two-bit machine or double the diagram"
-            )
-        # trace-out: the token is erased; copies that disagree erase the whole term
-        if bits.count(bits[0]) == len(bits):
-            return [(1.0 + 0j, ())]
-        return []
+    def diffuse(self, g: Generator, legs: Sequence[tuple[str, Dir]], bits: tuple[int, ...]) -> list[Branch]:
+        if g.kind is GenKind.H:
+            return [(factor, (Token(*legs[0], z),)) for factor, z in self._hadamard[bits]]
+        if g.kind is GenKind.GROUND:
+            if self.bit_width == 1:
+                raise GroundNotAllowed(
+                    "pure tokens cannot enter a ground; run the two-bit machine or double the diagram"
+                )
+            # trace-out: the token is erased; copies that disagree erase the whole term
+            return [(1.0 + 0j, ())] if bits.count(bits[0]) == len(bits) else []
+        # Z, cup and cap pass the payload to every other leg; only Z turns a phase
+        phase = cmath.exp(1j * g.angle.to_radians * self._weight[bits]) if g.kind is GenKind.Z else 1.0 + 0j
+        return [(phase, tuple(Token(e, o, bits) for e, o in legs))]
 
 
 PURE_RULES = RuleTable("pure", (1,))
@@ -249,16 +241,17 @@ GROUND_RULES = RuleTable("ground", (1, -1))
 # -- single rewrites --------------------------------------------------------
 
 
-def _target_endpoint(d: Diagram, token: Token):
-    """The attachment the token is heading for."""
-    if token.direction is Dir.DOWN:
-        return d.bottom_of(token.edge)
-    return d.top_of(token.edge)
+def _move(d: Diagram, token: Token) -> "tuple[int, tuple[tuple[str, Dir], ...]] | None":
+    """The token's entry in the diagram's move table: (generator index, legs) or None."""
+    try:
+        return d._moves[token[:2]]
+    except KeyError:
+        raise DiagramError(f"token {token} sits on {token.edge!r}, not an edge of the diagram") from None
 
 
 def is_frozen(d: Diagram, token: Token) -> bool:
     """True when the token points at a boundary slot: no rule applies."""
-    return _target_endpoint(d, token)[0] != "gen"
+    return _move(d, token) is None
 
 
 def _remove_one(term: Term, token: Token) -> tuple[Token, ...]:
@@ -288,12 +281,12 @@ def _check_payload(token: Token, rules: RuleTable) -> None:
 def _apply_rule(d: Diagram, token: Token, rules: RuleTable) -> tuple[int, str, list[Branch]]:
     """Run the diffusion rule for `token`; returns (gen index, rule name, branches)."""
     _check_payload(token, rules)
-    endpoint = _target_endpoint(d, token)
-    if endpoint[0] != "gen":
-        raise DiagramError(f"token {token} points at boundary slot {endpoint}; nothing to diffuse")
-    _, gi, port_side, port = endpoint
+    move = _move(d, token)
+    if move is None:
+        raise DiagramError(f"token {token} points at a boundary slot; nothing to diffuse")
+    gi, legs = move
     g = d.generators[gi]
-    return gi, _RULE_NAMES[g.kind], rules.diffuse(g, g.kind, port_side, port, token)
+    return gi, _RULE_NAMES[g.kind], rules.diffuse(g, legs, token.bits)
 
 
 def diffuse_once(
@@ -448,21 +441,12 @@ Site = tuple[Term, Token]
 Strategy = Callable[[Diagram, TokenState, Sequence[Site]], Site]
 
 
-def _frozen_table(d: Diagram) -> dict[tuple[str, Dir], bool]:
-    """(edge, direction) -> True when a token there points at a boundary slot."""
-    return {
-        (e, direction): is_frozen(d, Token(e, direction, ()))
-        for e in d.edge_order
-        for direction in Dir
-    }
-
-
-def _term_sites(term: Term, frozen: Mapping[tuple[str, Dir], bool]) -> tuple[Site, ...]:
+def _term_sites(term: Term, moves: Mapping[tuple[str, Dir], object]) -> tuple[Site, ...]:
     """The term's diffusible sites; duplicate tokens of a multiset share one."""
     sites = []
     previous = None
     for token in term:
-        if token != previous and not frozen[token[:2]]:
+        if token != previous and moves[token[:2]] is not None:
             sites.append((term, token))
         previous = token
     return tuple(sites)
@@ -488,12 +472,12 @@ def _depth_map(d: Diagram) -> dict[int, int]:
     feeds: list[tuple[int, int]] = []  # (upper gen, lower gen)
     roots: set[int] = set()
     for e in d.edge_order:
-        top, bottom = vertex_of(d.top_of(e)), vertex_of(d.bottom_of(e))
-        if bottom[0] == "gen":
-            if top[0] == "gen":
-                feeds.append((top[1], bottom[1]))
+        top, bottom = d._moves[e, Dir.UP], d._moves[e, Dir.DOWN]
+        if bottom is not None:
+            if top is not None:
+                feeds.append((top[0], bottom[0]))
             else:
-                roots.add(bottom[1])
+                roots.add(bottom[0])
     for _ in range(len(d.generators)):
         changed = False
         for up, down in feeds:
@@ -509,12 +493,7 @@ def _depth_map(d: Diagram) -> dict[int, int]:
 def _slice_rank(d: Diagram) -> Callable[[Term, Token], int]:
     """A site's rank: the depth of the generator its token enters."""
     depth = _depth_map(d)
-    targets = {
-        (e, direction): _target_endpoint(d, Token(e, direction, ()))
-        for e in d.edge_order
-        for direction in Dir
-    }
-    ranks = {slot: depth[end[1]] for slot, end in targets.items() if end[0] == "gen"}
+    ranks = {slot: depth[move[0]] for slot, move in d._moves.items() if move is not None}
     return lambda term, token: ranks[token[:2]]
 
 
@@ -634,15 +613,12 @@ class _Run:
     """
 
     def __init__(self, d: Diagram, state: TokenState, rules: RuleTable, scheduler: "str | Strategy"):
-        edges = d.edges
         for token in state.tokens():
-            if token.edge not in edges:
-                raise DiagramError(f"token {token} sits on {token.edge!r}, not an edge of the diagram")
+            _move(d, token)  # refuses a token off the diagram
             _check_payload(token, rules)
         self.d = d
         self.rules = rules
         self.state = state
-        self.frozen = _frozen_table(d)
         ranked = _RANKS.get(scheduler) if isinstance(scheduler, str) else getattr(scheduler, "rank", None)
         self.rank = ranked and ranked(d)
         self.sites_of: dict[Term, tuple[tuple[int, Sequence[Site]], ...]] = {}
@@ -695,7 +671,7 @@ class _Run:
                     if not bucket:
                         del buckets[rank]
                 continue
-            found = _term_sites(key, self.frozen)
+            found = _term_sites(key, self.d._moves)
             if self.rank is None:
                 groups = ((0, found),) if found else ()
             else:
@@ -1026,10 +1002,10 @@ def run_multi_token(
     weights: list[tuple[complex, tuple[int, ...]]] = []
     if isinstance(input_state, Mapping):
         for key, amp in input_state.items():
-            bits = tuple(int(b) for b in key)
-            if len(bits) != n or any(b not in (0, 1) for b in bits):
+            # compare before int(): "1x" is no bitstring, and int("١") would read 1
+            if not isinstance(key, (str, tuple)) or len(key) != n or any(b not in (0, 1, "0", "1") for b in key):
                 raise DiagramError(f"bad input bitstring {key!r} for {n} wires")
-            weights.append((complex(amp), bits))
+            weights.append((complex(amp), tuple(int(b) for b in key)))
     else:
         vec = np.asarray(input_state, dtype=complex).reshape(-1)
         if vec.shape[0] != 2**n:

@@ -8,9 +8,10 @@ run was cut short, not that an answer was wrong.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 
@@ -253,18 +254,10 @@ class SuiteReport:
         return max((t.deviation for t in self.trials if t.deviation is not None), default=0.0)
 
     def to_json(self) -> dict:
+        config = {f.name: getattr(self.config, f.name) for f in fields(GenConfig)}
+        config["angle_pool"] = [str(Angle.of(a)) for a in self.config.angle_pool]
         return {
-            "config": {
-                "seed": self.config.seed,
-                "max_generators": self.config.max_generators,
-                "max_inputs": self.config.max_inputs,
-                "max_outputs": self.config.max_outputs,
-                "max_spider_arity": self.config.max_spider_arity,
-                "angle_pool": [str(Angle.of(a)) for a in self.config.angle_pool],
-                "allow_ground": self.config.allow_ground,
-                "require_connected": self.config.require_connected,
-                "require_acyclic": self.config.require_acyclic,
-            },
+            "config": config,
             "counts": {k: self.count(k) for k in ("pass", "fail", "fuse", "skip")},
             "max_deviation": self.max_deviation,
             "ok": self.ok,
@@ -461,10 +454,15 @@ def run_suite(
     diagram: Diagram | None = None,
     jobs: int = 1,
 ) -> SuiteReport:
-    """Run a suite; trials are independent, so jobs > 1 fans them out."""
+    """Run a suite; trials are independent, so jobs > 1 fans them out.
+
+    The pool starts no more workers than there are trials or CPUs, and
+    a run that would get one worker runs in this process.
+    """
     report = SuiteReport(suite, effective_config(suite, cfg))
-    if jobs > 1 and diagram is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1 and diagram is None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             fn = partial(run_trial, suite, cfg, schedulers=schedulers)
             report.trials = list(pool.map(fn, range(trials)))
     else:

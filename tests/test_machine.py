@@ -47,7 +47,6 @@ from zxtk.machine import (
     _apply_rule,
     _collide_term,
     _depth_map,
-    _target_endpoint,
     is_frozen,
     make_strategy,
 )
@@ -77,6 +76,11 @@ R2 = 2.0**-0.5
 
 def tk(e, d, *bits):
     return Token(e, d, tuple(bits))
+
+
+def enter(g, token):
+    """The branches of `token` entering `g`, alone in a diagram that keeps its edge names."""
+    return _apply_rule(Diagram((g,), g.ins, g.outs), token, PURE_RULES)[2]
 
 
 class TestTokenState:
@@ -116,7 +120,7 @@ class TestRuleTable:
     def test_green_phase_only_on_one_bits(self):
         g = Generator(GenKind.Z, ("a",), ("b",), angle=Angle.radians(0.7))
         for x, want in ((0, 1.0), (1, cmath.exp(0.7j))):
-            branches = PURE_RULES.diffuse(g, GenKind.Z, "in", 0, tk("a", D, x))
+            branches = enter(g, tk("a", D, x))
             assert len(branches) == 1
             coeff, emitted = branches[0]
             assert abs(coeff - want) < 1e-12
@@ -124,34 +128,34 @@ class TestRuleTable:
 
     def test_green_emissions_cover_all_other_legs(self):
         g = Generator(GenKind.Z, ("a", "b"), ("c", "d"))
-        ((_, emitted),) = PURE_RULES.diffuse(g, GenKind.Z, "in", 0, tk("a", D, 1))
+        ((_, emitted),) = enter(g, tk("a", D, 1))
         assert set(emitted) == {tk("b", U, 1), tk("c", D, 1), tk("d", D, 1)}
 
     def test_hadamard_branches_with_sign(self):
         g = Generator(GenKind.H, ("a",), ("b",))
-        branches = PURE_RULES.diffuse(g, GenKind.H, "in", 0, tk("a", D, 1))
+        branches = enter(g, tk("a", D, 1))
         table = {emitted[0].bits[0]: coeff for coeff, emitted in branches}
         assert abs(table[0] - R2) < 1e-15 and abs(table[1] + R2) < 1e-15
 
     def test_hadamard_upward_exits_upward(self):
         g = Generator(GenKind.H, ("a",), ("b",))
-        branches = PURE_RULES.diffuse(g, GenKind.H, "out", 0, tk("b", U, 0))
+        branches = enter(g, tk("b", U, 0))
         assert all(emitted[0] == tk("a", U, z) for (_, emitted), z in zip(branches, (0, 1)))
 
     def test_cup_bounces_up(self):
         g = Generator(GenKind.CUP, ("a", "b"), ())
-        ((coeff, emitted),) = PURE_RULES.diffuse(g, GenKind.CUP, "in", 0, tk("a", D, 1))
+        ((coeff, emitted),) = enter(g, tk("a", D, 1))
         assert coeff == 1 and emitted == (tk("b", U, 1),)
 
     def test_cap_bounces_down(self):
         g = Generator(GenKind.CAP, (), ("a", "b"))
-        ((coeff, emitted),) = PURE_RULES.diffuse(g, GenKind.CAP, "out", 1, tk("b", U, 0))
+        ((coeff, emitted),) = enter(g, tk("b", U, 0))
         assert coeff == 1 and emitted == (tk("a", D, 0),)
 
     def test_ground_rejected_in_single_bit_mode(self):
         g = Generator(GenKind.GROUND, ("a",), ())
         with pytest.raises(GroundNotAllowed):
-            PURE_RULES.diffuse(g, GenKind.GROUND, "in", 0, tk("a", D, 0))
+            enter(g, tk("a", D, 0))
 
 
 class TestTrapRun:
@@ -253,6 +257,11 @@ class TestRunHelpers:
     def test_multi_token_bitstring(self, cnot):
         mt = run_multi_token(cnot, {"10": 1.0})
         assert mt.allclose(TokenState.single(R2, [tk("b1", D, 1), tk("b2", D, 1)]))
+
+    @pytest.mark.parametrize("key", ["12", "1x", "1", "100", "1 ", (1, 2), 10])
+    def test_multi_token_refuses_bad_bitstrings(self, cnot, key):
+        with pytest.raises(DiagramError, match="bad input bitstring"):
+            run_multi_token(cnot, {key: 1.0})
 
     def test_multi_token_vector(self, cnot):
         vec = np.zeros(4)
@@ -397,6 +406,13 @@ class TestSeedTokens:
             normalize(cnot, seed, force=force)
         with pytest.raises(DiagramError, match=message):
             step(cnot, seed)
+
+    def test_single_moves_refuse_an_off_diagram_token(self, cnot):
+        token = tk("zz", D, 0)
+        with pytest.raises(DiagramError, match="not an edge of the diagram"):
+            diffuse_once(cnot, TokenState.single(1.0, [token]), ((token,), token))
+        with pytest.raises(DiagramError, match="not an edge of the diagram"):
+            is_frozen(cnot, token)
 
 
 class TestFuse:
@@ -547,7 +563,11 @@ def _reference_strategy(spec):
 
     def pick(d, s, sites):
         depth = _depth_map(d)
-        return min(sites, key=lambda site: (depth[_target_endpoint(d, site[1])[1]],) + site)
+
+        def entered(token):  # the index of the generator the token points into
+            return (d.bottom_of(token.edge) if token.direction is D else d.top_of(token.edge))[1]
+
+        return min(sites, key=lambda site: (depth[entered(site[1])],) + site)
 
     return pick
 
@@ -762,16 +782,17 @@ def test_rule_table_equals_the_tables_it_replaced(rules, reference):
     for ground in (False, True):
         cfg = GenConfig(seed=3, max_generators=10, angle_pool=pool, allow_ground=ground)
         for i in range(40):
-            for g, side, port, e, direction in _entries(random_diagram(cfg, i)):
+            d = random_diagram(cfg, i)
+            for g, side, port, e, direction in _entries(d):
                 for bits in itertools.product((0, 1), repeat=rules.bit_width):
                     token = Token(e, direction, bits)
                     try:
                         want = reference.diffuse(g, g.kind, side, port, token)
                     except GroundNotAllowed:
                         with pytest.raises(GroundNotAllowed):
-                            rules.diffuse(g, g.kind, side, port, token)
+                            _apply_rule(d, token, rules)
                         continue
-                    got = rules.diffuse(g, g.kind, side, port, token)
+                    _, _, got = _apply_rule(d, token, rules)
                     # exact: the factors feed every later sum, so a last-bit change shows in traces
                     assert got == want, (g, side, port, bits)
                     assert [type(f) for f, _ in got] == [type(f) for f, _ in want]

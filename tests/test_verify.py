@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from zxtk import (
     run_trial,
     serialize_diagram,
 )
+from zxtk import verify
 from zxtk.diagram import GenKind
 from zxtk.families import cnot_diagram, spider_trap
 from zxtk.verify import _boundary_seed, _random_seed, effective_config
@@ -185,6 +187,35 @@ class TestSuites:
         parallel = run_suite("confluence", cfg, trials=6, schedulers=5, jobs=2)
         assert serial.trials == parallel.trials
 
+    def test_pool_starts_no_more_workers_than_trials_or_cpus(self, monkeypatch):
+        pools = []
+
+        class Recorder:  # an in-process stand-in: it starts no worker
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        cfg = GenConfig(seed=8, max_generators=4)
+        serial = run_suite("oracle", cfg, trials=3)
+        assert run_suite("oracle", cfg, trials=3, jobs=64).trials == serial.trials
+        run_suite("oracle", cfg, trials=6, jobs=64)
+        assert pools == [3, 4]
+        # one worker's worth of trials or CPUs runs in this process
+        run_suite("oracle", cfg, trials=1, jobs=64)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        run_suite("oracle", cfg, trials=3, jobs=64)
+        assert pools == [3, 4]
+
     def test_unknown_suite_is_refused(self):
         with pytest.raises(ValueError):
             run_trial("vibes", GenConfig(), 0)
@@ -214,6 +245,21 @@ class TestReports:
             set(t) == {"detail", "deviation", "index", "outcome"} for t in doc["trials"]
         )
         json.dumps(doc)  # must be plain data
+
+    def test_json_config_lists_every_field_in_order(self):
+        cfg = GenConfig(seed=5, max_generators=4, angle_pool=(Fraction(1, 2), 0.25))
+        doc = run_suite("oracle", cfg, trials=1).to_json()
+        assert list(doc["config"].items()) == [
+            ("seed", 5),
+            ("max_generators", 4),
+            ("max_inputs", 3),
+            ("max_outputs", 3),
+            ("max_spider_arity", 4),
+            ("angle_pool", ["pi/2", "0.25"]),
+            ("allow_ground", False),
+            ("require_connected", True),
+            ("require_acyclic", False),
+        ]
 
     def test_summary_text(self):
         report = run_suite("oracle", GenConfig(seed=5, max_generators=4), trials=4)
