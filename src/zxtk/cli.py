@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .diagram import Dir, cpm_construct
 from .errors import FuseExceeded, ZxError
-from .ground import g_extract_superoperator
 from .interp import interp, interp_cpm
 from .machine import (
     GROUND_RULES,
@@ -89,6 +88,7 @@ def _cmd_interp(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """`run` writes the normal form (and the trace to --trace); `trace` writes only the trace."""
     d = _load_diagram(args.file)
     seed = _seed_from_input(d, args.input)
     try:
@@ -96,33 +96,23 @@ def _cmd_run(args) -> int:
     except FuseExceeded as err:
         print(f"run did not finish: {err}", file=sys.stderr)
         return VERIFY_FAILED
+    if args.command == "trace":
+        _emit(serialize_trace(trace), args.out)
+        return OK
     if args.trace:
         _emit(serialize_trace(trace), args.trace)
     _emit(serialize_state(nf), args.out)
     return OK
 
 
-def _cmd_trace(args) -> int:
-    d = _load_diagram(args.file)
-    seed = _seed_from_input(d, args.input)
-    try:
-        _, trace = normalize(d, seed, args.scheduler, rules=_rules_for(d))
-    except FuseExceeded as err:
-        print(f"run did not finish: {err}", file=sys.stderr)
-        return VERIFY_FAILED
-    _emit(serialize_trace(trace), args.out)
-    return OK
-
-
 def _cmd_extract(args) -> int:
     d = _load_diagram(args.file)
+    rules = GROUND_RULES if args.ground else _rules_for(d)
     try:
-        if args.ground or d.has_ground():
-            m = g_extract_superoperator(d, args.seed_edge, args.scheduler)
-        elif args.seed_edge is not None:
-            m = extract_matrix(d, args.seed_edge, args.scheduler)
+        if args.seed_edge is not None:
+            m = extract_matrix(d, args.seed_edge, args.scheduler, rules=rules)
         else:
-            m = extract_matrix_general(d, args.scheduler)
+            m = extract_matrix_general(d, args.scheduler, rules=rules)
     except FuseExceeded as err:
         print(f"extraction did not finish: {err}", file=sys.stderr)
         return VERIFY_FAILED
@@ -206,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cpm", action="store_true", help="interpret the doubled diagram")
 
-    for name, fn in (("run", _cmd_run), ("trace", _cmd_trace)):
-        p = cmd(name, fn, f"{name} the token machine on a diagram file")
+    for name in ("run", "trace"):
+        p = cmd(name, _cmd_run, f"{name} the token machine on a diagram file")
         p.add_argument("file")
         p.add_argument(
             "--input",

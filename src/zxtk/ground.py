@@ -7,13 +7,18 @@ separate engine: run it as `normalize(d, seed, rules=GROUND_RULES)`
 their token, keeping the term only when the two bits agree, which is
 the cup a ground becomes in the doubled diagram.
 
+Extraction is shared too: `extract_matrix_general(d, rules=GROUND_RULES)`
+reads any grounded diagram, connected or not, component by component,
+exactly as it reads a pure one under `PURE_RULES`.
+
 This module holds what the two-bit machine adds on top: `cpm_map`,
-the image of a two-bit state on the doubled diagram; the superoperator
-reading `g_extract_superoperator`; and `check_simulation`, which
-replays a two-bit run on the doubled pure diagram and confirms each
-move is matched there: one pure diffusion per copy (the second copy
-coordinated across the branch terms the first one opened), except at
-a ground, whose cup needs a single diffusion and finishes by collision.
+the image of a two-bit state on the doubled diagram; the seeded
+superoperator reading `g_extract_superoperator`; and
+`check_simulation`, which replays a two-bit run on the doubled pure
+diagram and confirms each move is matched there: one pure diffusion
+per copy (the second copy coordinated across the branch terms the
+first one opened), except at a ground, whose cup needs a single
+diffusion and finishes by collision.
 """
 
 from __future__ import annotations
@@ -159,6 +164,8 @@ def g_extract_superoperator(
 
     Seeds the edge with all four bit-pair patterns and reads the summed
     normal forms; rows and columns use two bits per wire, the plain
-    copy's bit first.
+    copy's bit first.  It is `extract_matrix` under `GROUND_RULES`;
+    components work under either rule table, so a disconnected channel
+    reads through `extract_matrix_general(d, rules=GROUND_RULES)`.
     """
     return extract_matrix(d, seed_edge, scheduler, rules=GROUND_RULES, **kw)

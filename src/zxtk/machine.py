@@ -143,11 +143,6 @@ class TokenState:
     def scaled(self, factor: complex) -> "TokenState":
         return TokenState({k: v * factor for k, v in self.terms.items()})
 
-    def copy(self) -> "TokenState":
-        s = TokenState.__new__(TokenState)
-        s.terms = dict(self.terms)
-        return s
-
     def tokens(self) -> set[Token]:
         return {t for term in self.terms for t in term}
 
@@ -1010,11 +1005,8 @@ def run_multi_token(
         vec = np.asarray(input_state, dtype=complex).reshape(-1)
         if vec.shape[0] != 2**n:
             raise DiagramError(f"input vector length {vec.shape[0]}, expected {2 ** n}")
-        weights = [
-            (vec[i], tuple((i >> (n - 1 - j)) & 1 for j in range(n)))
-            for i in range(2**n)
-            if abs(vec[i]) > PRUNE_EPS
-        ]
+        weights = [(vec[i], tuple((i >> (n - 1 - j)) & 1 for j in range(n))) for i in range(2**n)]
+    # the state prunes the zero rows
     seed = TokenState(
         (amp, [Token(e, Dir.DOWN, (b,)) for e, b in zip(d.inputs, bits)])
         for amp, bits in weights
@@ -1075,39 +1067,40 @@ def extract_matrix(
 
 
 def extract_matrix_general(
-    d: Diagram, scheduler: "str | Strategy" = "deterministic", **kw
+    d: Diagram,
+    scheduler: "str | Strategy" = "deterministic",
+    *,
+    rules: RuleTable = PURE_RULES,
+    **kw,
 ) -> np.ndarray:
-    """Matrix of any pure diagram, connected or not.
+    """Matrix of any diagram, connected or not, under either rule table.
 
-    Each component is extracted on its own (edgeless scalar components
-    fall back to the dense interpretation) and the results recombine by
-    tensor product, with wires permuted back to the host slot order.
+    Each component is extracted on its own and the results recombine by
+    tensor product, with wires of 2^w values each (w the table's bit
+    width) permuted back to the host slot order.  Edgeless scalar
+    components fall back to the dense interpretation: `interp`, or
+    `interp_cpm` under `GROUND_RULES`, so a disconnected channel reads
+    like a connected one.
     """
     from .diagram import connected_components
-    from .interp import interp
+    from .interp import interp, interp_cpm
 
-    comps = connected_components(d)
-    if not comps:
-        return np.array([[1.0 + 0j]])
-    blocks = []
-    for piece, cmap in comps:
-        if piece.edge_order:
-            blocks.append((extract_matrix(piece, None, scheduler, **kw), cmap))
-        else:
-            blocks.append((interp(piece), cmap))
+    dense = interp if rules.bit_width == 1 else interp_cpm
     m = np.array([[1.0 + 0j]])
-    for block, _ in blocks:
+    out_order: list[int] = []
+    in_order: list[int] = []
+    for piece, cmap in connected_components(d):
+        block = extract_matrix(piece, None, scheduler, rules=rules, **kw) if piece.edge_order else dense(piece)
         m = np.kron(m, block)
-    out_order = [k for _, cmap in blocks for k in cmap.output_slots]
-    in_order = [k for _, cmap in blocks for k in cmap.input_slots]
-    return _permute_wires(m, out_order, in_order, d.n_outputs, d.n_inputs)
+        out_order += cmap.output_slots
+        in_order += cmap.input_slots
+    return _permute_wires(m, out_order, in_order, 2**rules.bit_width)
 
 
-def _permute_wires(
-    m: np.ndarray, out_order: Sequence[int], in_order: Sequence[int], n_out: int, n_in: int
-) -> np.ndarray:
-    """Reorder row/column qubits from the given current order to 0..n-1."""
-    t = m.reshape((2,) * (n_out + n_in))
+def _permute_wires(m: np.ndarray, out_order: Sequence[int], in_order: Sequence[int], base: int) -> np.ndarray:
+    """Reorder row/column wires of `base` values each from the given order to 0..n-1."""
+    n_out, n_in = len(out_order), len(in_order)
+    t = m.reshape((base,) * (n_out + n_in))
     perm = [out_order.index(k) for k in range(n_out)]
     perm += [n_out + in_order.index(k) for k in range(n_in)]
-    return t.transpose(perm).reshape(2**n_out, 2**n_in)
+    return t.transpose(perm).reshape(base**n_out, base**n_in)

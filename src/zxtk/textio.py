@@ -268,6 +268,10 @@ def _loads(text: str):
         raise FormatError(f"not valid JSON: {err}") from None
 
 
+# what valid JSON of the wrong shape raises while a reader takes it apart
+_MALFORMED = (LookupError, TypeError, ValueError, ArithmeticError)
+
+
 def _check_version(doc, want_kind: str) -> None:
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"expected a version-{FORMAT_VERSION} {want_kind} document")
@@ -308,7 +312,7 @@ def doc_to_diagram(doc: dict) -> Diagram:
         # the edges section is derived data; refuse documents that disagree
         if doc["edges"] != diagram_to_doc(d)["edges"]:
             raise FormatError("edges section does not match the generators")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"malformed diagram document: {err}") from None
     return d
 
@@ -347,7 +351,7 @@ def doc_to_state(doc: dict) -> TokenState:
             (_j2c(entry["coeff"]), [_token_from_json(v) for v in entry["tokens"]])
             for entry in doc["terms"]
         )
-    except (KeyError, TypeError, IndexError, ValueError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"malformed state document: {err}") from None
 
 
@@ -375,7 +379,7 @@ def parse_matrix(text: str) -> np.ndarray:
         rows, cols = doc["shape"]
         m = np.array([[_j2c(v) for v in row] for row in doc["entries"]], dtype=complex)
         m = m.reshape(rows, cols)
-    except (KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"malformed matrix document: {err}") from None
     return m
 
@@ -430,9 +434,9 @@ def parse_trace(text: str) -> Trace:
     if not lines:
         raise FormatError("empty trace file")
     header = _loads(lines[0])
+    _check_version(header, "trace")
     if header.get("kind") != "trace":
         raise FormatError("not a trace file")
-    _check_version(header, "trace")
     steps = []
     try:
         initial = _terms_from_json(header["initial"])
@@ -461,6 +465,6 @@ def parse_trace(text: str) -> Trace:
                     state_after=_terms_from_json(v["state"]),
                 )
             )
-    except (KeyError, TypeError, IndexError) as err:
+    except _MALFORMED as err:
         raise FormatError(f"malformed trace record: {err}") from None
     return Trace(initial=initial, steps=steps)

@@ -25,16 +25,17 @@ from .diagram import (
     Generator,
     GenKind,
     canonical_relabel,
-    connected_components,
     cpm_construct,
     cycle_basis,
     enumerate_cycles,
     enumerate_paths,
 )
 from .errors import FuseExceeded, NotCycleBalanced, NotWellFormed, ZxError
-from .ground import check_simulation, cpm_map, g_extract_superoperator
+from .ground import check_simulation, cpm_map
 from .interp import interp, interp_cpm
 from .machine import (
+    GROUND_RULES,
+    PURE_RULES,
     Token,
     TokenState,
     extract_matrix,
@@ -121,7 +122,7 @@ def random_diagram(cfg: GenConfig, index: int = 0) -> Diagram:
             continue
         # resample rather than join: joining would blow the generator cap;
         # generator-free configs are exempt, bare wires cannot connect
-        if cfg.require_connected and cfg.max_generators > 0 and len(connected_components(d)) > 1:
+        if cfg.require_connected and cfg.max_generators > 0 and len(d._forest.trees) > 1:
             continue
         if cfg.require_acyclic and cycle_basis(d):
             continue
@@ -294,22 +295,13 @@ class SuiteReport:
 
 
 def _trial_oracle(d: Diagram, rng: random.Random, *, ground: bool) -> TrialResult:
-    if ground:
-        dev = 0.0
-        # the superoperator reads one component at a time
-        for comp, _ in connected_components(d):
-            want = interp_cpm(comp)
-            if comp.edge_order:
-                got = g_extract_superoperator(comp, rng.choice(comp.edge_order))
-                if want.size:
-                    dev = max(dev, float(np.abs(got - want).max()))
+    rules = GROUND_RULES if ground else PURE_RULES
+    if len(d._forest.trees) == 1 and d.edge_order:
+        got = extract_matrix(d, rng.choice(d.edge_order), rules=rules)
     else:
-        if len(connected_components(d)) == 1 and d.edge_order:
-            got = extract_matrix(d, rng.choice(d.edge_order))
-        else:
-            got = extract_matrix_general(d)
-        want = interp(d)
-        dev = float(np.abs(got - want).max()) if want.size else 0.0
+        got = extract_matrix_general(d, rules=rules)
+    want = interp_cpm(d) if ground else interp(d)
+    dev = float(np.abs(got - want).max())
     return TrialResult(0, "pass" if dev < 1e-9 else "fail", deviation=dev)
 
 
@@ -409,9 +401,12 @@ def _trial_simulation(d: Diagram, rng: random.Random) -> TrialResult:
 
 
 def effective_config(suite: str, cfg: GenConfig) -> GenConfig:
-    """The config a suite actually samples from; idempotent."""
-    if suite == "oracle" and cfg.allow_ground:
-        return replace(cfg, require_connected=True)  # superoperator reads one component
+    """The config a suite actually samples from; idempotent.
+
+    Only the simulation suite changes it, since it needs grounds; the
+    oracle reads any component under either rule table, so a grounded
+    oracle samples disconnected diagrams when the config allows them.
+    """
     if suite == "simulation":
         return replace(cfg, allow_ground=True)
     return cfg

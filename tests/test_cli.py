@@ -13,6 +13,7 @@ from zxtk import (
     interp,
     interp_cpm,
     parse_diagram,
+    parse_dsl,
     parse_matrix,
     parse_state,
     parse_trace,
@@ -234,6 +235,14 @@ class TestExtract:
         code, out, _ = run_main(capsys, "extract", cnot_zxd, "--ground")
         assert code == 0
         assert np.allclose(parse_matrix(out), interp_cpm(cnot_diagram()), atol=1e-9)
+
+    def test_disconnected_channel(self, capsys, tmp_path):
+        p = tmp_path / "two.zxd"
+        p.write_text(f"({MEAS_DSL}) * H")
+        code, out, _ = run_main(capsys, "extract", str(p))
+        assert code == 0
+        want = interp_cpm(parse_dsl(p.read_text()))
+        assert np.allclose(parse_matrix(out), want, atol=1e-9)
 
     def test_unknown_seed_edge(self, capsys, cnot_zxj):
         code, _, err = run_main(capsys, "extract", cnot_zxj, "--seed-edge", "nope")

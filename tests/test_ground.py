@@ -17,12 +17,15 @@ from zxtk import (
     Token,
     TokenState,
     check_simulation,
+    connected_components,
     cpm_construct,
     cpm_map,
     diffuse_once,
+    extract_matrix_general,
     g_extract_superoperator,
     interp_cpm,
     normalize,
+    parse_dsl,
     step,
     term_key,
 )
@@ -179,6 +182,27 @@ class TestSuperoperator:
         want = interp_cpm(meas)
         for e in meas.edge_order:
             assert np.allclose(g_extract_superoperator(meas, e), want, atol=1e-9), e
+
+
+class TestDisconnectedChannels:
+    """`extract_matrix_general` reads grounded components as it reads pure ones."""
+
+    def test_random_channels_match_the_doubled_interpretation(self):
+        cfg = GenConfig(seed=11, max_generators=6, allow_ground=True, require_connected=False)
+        disconnected = 0
+        for i in range(200):
+            d = random_diagram(cfg, i)
+            disconnected += d.has_ground() and len(connected_components(d)) > 1
+            got = extract_matrix_general(d, rules=GROUND_RULES)
+            assert np.abs(got - interp_cpm(d)).max() < 1e-9, i
+        assert disconnected >= 20
+
+    def test_scalar_bare_wire_and_ground(self):
+        # a scalar piece, a bare wire crossing to the other slot, and a measurement
+        d = parse_dsl("Z(0,0,pi/2) * (swap ; ((Z(1,2,0) ; (id * ground)) * id))")
+        assert len(connected_components(d)) == 3
+        got = extract_matrix_general(d, rules=GROUND_RULES)
+        assert np.abs(got - interp_cpm(d)).max() < 1e-9
 
 
 SIM_CASES = [

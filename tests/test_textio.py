@@ -208,6 +208,13 @@ class TestMatrixFormat:
         with pytest.raises(FormatError):
             parse_matrix(json.dumps(doc))
 
+    def test_entry_that_is_not_a_number_pair_is_refused(self):
+        import json
+
+        doc = {"entries": [["a", "b"]], "shape": [1, 2], "version": 1}
+        with pytest.raises(FormatError):
+            parse_matrix(json.dumps(doc))
+
 
 class TestTraceFormat:
     @pytest.fixture
@@ -238,6 +245,21 @@ class TestTraceFormat:
     def test_wrong_kind_is_refused(self):
         with pytest.raises(FormatError):
             parse_trace('{"kind": "grocery-list", "version": 1}')
+
+    @pytest.mark.parametrize("header", ['["kind", "trace"]', '"trace"'])
+    def test_header_that_is_not_an_object_is_refused(self, header):
+        with pytest.raises(FormatError):
+            parse_trace(header)
+
+    def test_non_numeric_bit_in_a_record_is_refused(self, trace):
+        import json
+
+        lines = serialize_trace(trace).splitlines()
+        record = json.loads(lines[1])
+        record["token"]["bits"] = ["x"]
+        lines[1] = json.dumps(record)
+        with pytest.raises(FormatError):
+            parse_trace("\n".join(lines))
 
 
 # -- property round-trips ------------------------------------------------------

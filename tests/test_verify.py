@@ -227,11 +227,14 @@ class TestSuites:
         assert report.ok
         assert report.count("fuse") == 2
 
+    def test_grounded_oracle_reads_disconnected_diagrams(self):
+        cfg = GenConfig(seed=3, max_generators=6, allow_ground=True, require_connected=False)
+        report = run_suite("oracle", cfg, trials=30)
+        drawn = [random_diagram(report.config, i) for i in range(30)]
+        assert any(d.has_ground() and len(connected_components(d)) > 1 for d in drawn)
+        assert report.ok and report.count("pass") == 30
+
     def test_effective_config(self):
-        cfg = GenConfig(allow_ground=True, require_connected=False)
-        eff = effective_config("oracle", cfg)
-        assert eff.require_connected
-        assert effective_config("oracle", eff) == eff
         assert effective_config("simulation", GenConfig()).allow_ground
 
 
