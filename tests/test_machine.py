@@ -288,6 +288,14 @@ class TestExtraction:
         }[name]
         assert np.allclose(extract_matrix(d), interp(d), atol=1e-12)
 
+    @pytest.mark.parametrize("k", [24, 40, 64])
+    def test_small_amplitudes_survive_relative_to_the_largest_entry(self, k):
+        # cnot_chain(k) carries amplitude 2^(-k/2), so a coarser prune drops it all
+        chain = cnot_chain(k)
+        want = interp(chain)
+        deviation = np.abs(extract_matrix(chain) - want).max() / np.abs(want).max()
+        assert deviation <= 1e-12
+
     def test_every_seed_edge_works(self, cnot):
         want = interp(cnot)
         for e in cnot.edge_order:
