@@ -52,7 +52,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise ZxError(f"cannot write {out}: {err.strerror}") from err
 
 
 def _rules_for(d):
@@ -180,6 +183,13 @@ def _cmd_check(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """A count of at least 1: a check that runs no trial must not report success."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"wants a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zxtk", description="Token-machine toolkit for ZX diagrams."
@@ -221,9 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--random", default=None, metavar="CFG", help="key=value diagram config")
     p.add_argument("--suite", choices=SUITES, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0, help="trial seed for file mode")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     return parser
 

@@ -596,71 +596,44 @@ def enumerate_paths(d: Diagram) -> list[Path]:
     Exponential in general: raises PathLimitExceeded past
     `DEFAULT_PATH_LIMIT` directed paths.
     """
-    seen = set()
-    out = []
+    found: dict[tuple, None] = {}
     counter = [0]
     for e in d.edge_order:
         for o in (Dir.DOWN, Dir.UP):
             for steps in _iter_directed_paths(d, (e, o), counter, DEFAULT_PATH_LIMIT):
-                rev = tuple((f, q.flipped) for f, q in reversed(steps))
-                key = min(steps, rev)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Path(tuple(s[0] for s in key), tuple(s[1] for s in key)))
-    return out
+                found[min(steps, tuple((f, q.flipped) for f, q in reversed(steps)))] = None
+    return [Path(*zip(*steps)) for steps in found]
 
 
 def enumerate_cycles(d: Diagram) -> list[Cycle]:
     """Every simple cycle, one representative per rotation/reversal class.
 
-    Exponential in general: raises PathLimitExceeded past
-    `DEFAULT_PATH_LIMIT` candidates.  To learn only whether a cycle
-    exists, test `cycle_basis` instead.
+    A cycle is a path from a generator, walked as `enumerate_paths` walks
+    it, that one more leaving edge closes back to its start, or a
+    self-loop.  Raises PathLimitExceeded past `DEFAULT_PATH_LIMIT` walked
+    paths.  To learn only whether a cycle exists, test `cycle_basis`.
     """
-    seen = set()
-    out = []
+    found: dict[tuple, tuple] = {}  # canonical rotation -> the first walk that closed it
     counter = [0]
 
-    def canonical(steps: tuple[tuple[str, Dir], ...]) -> tuple:
-        variants = []
-        for seq in (steps, tuple((f, q.flipped) for f, q in reversed(steps))):
-            for r in range(len(seq)):
-                variants.append(seq[r:] + seq[:r])
-        return min(variants)
+    def close(steps: tuple[tuple[str, Dir], ...]) -> None:
+        back = tuple((f, q.flipped) for f, q in reversed(steps))
+        rotations = (seq[r:] + seq[:r] for seq in (steps, back) for r in range(len(seq)))
+        found.setdefault(min(rotations), steps)
 
     for e in d.edge_order:
         for o in (Dir.DOWN, Dir.UP):
             tail0, head0 = _tail_head(d, e, o)
             if tail0[0] != "gen":
                 continue
-            if tail0 == head0:  # self-loop closes immediately
-                key = canonical(((e, o),))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Cycle((e,), (o,)))
-                continue
-            stack = [(((e, o),), head0, frozenset((tail0, head0)))]
-            while stack:
-                steps, head, visited = stack.pop()
-                counter[0] += 1
-                if counter[0] > DEFAULT_PATH_LIMIT:
-                    raise PathLimitExceeded(f"more than {DEFAULT_PATH_LIMIT} cycle candidates")
-                if head[0] != "gen":
-                    continue
+            if tail0 == head0:
+                close(((e, o),))
+            for steps in _iter_directed_paths(d, (e, o), counter, DEFAULT_PATH_LIMIT):
+                head = _tail_head(d, *steps[-1])[1]
                 for f, q in _leaving(d, head, steps[-1][0]):
-                    _, nxt = _tail_head(d, f, q)
-                    if nxt == tail0 and len(steps) >= 1:
-                        key = canonical(steps + ((f, q),))
-                        if key not in seen:
-                            seen.add(key)
-                            full = steps + ((f, q),)
-                            out.append(
-                                Cycle(tuple(s[0] for s in full), tuple(s[1] for s in full))
-                            )
-                    elif nxt not in visited:
-                        stack.append((steps + ((f, q),), nxt, visited | {nxt}))
-    return out
+                    if _tail_head(d, f, q)[1] == tail0:
+                        close(steps + ((f, q),))
+    return [Cycle(*zip(*steps)) for steps in found.values()]
 
 
 class _Forest:

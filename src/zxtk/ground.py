@@ -32,6 +32,7 @@ from .machine import (
     Strategy,
     Token,
     TokenState,
+    _accumulate,
     _collide_all_recorded,
     diffuse_once,
     extract_matrix,
@@ -117,10 +118,9 @@ def check_simulation(
             conj_edge_name(record.token.edge), record.token.direction, record.token.bits[1:]
         )
         (term,) = cpm_map(TokenState.single(1.0, record.term)).terms
-        coeff = pure_state.terms.get(term)
+        coeff = pure_state.terms.pop(term, None)
         if coeff is None:
             raise DiagramError("replay lost track of the rewritten term")
-        rest = TokenState({k: v for k, v in pure_state.terms.items() if k != term})
         lane = TokenState.single(coeff, term)
         lane = diffuse_once(doubled, lane, (term, plain))
         lane, recs = _collide_all_recorded(lane)
@@ -136,9 +136,9 @@ def check_simulation(
                 one = diffuse_once(doubled, one, (branch, twin))
                 one, recs = _collide_all_recorded(one)
                 applications += 1 + len(recs)
-                gathered = gathered + one
+                _accumulate(gathered.terms, one.terms.items())
             lane = gathered
-        pure_state = rest + lane
+        _accumulate(pure_state.terms, lane.terms.items())
         matched = pure_state.allclose(target, atol)
         if record.rule == "trace-out" and applications != 2:
             matched = False

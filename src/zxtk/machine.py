@@ -92,6 +92,23 @@ def term_key(tokens: Iterable[Token]) -> Term:
     return tuple(sorted(tokens))
 
 
+def _accumulate(terms: dict[Term, complex], pairs: Iterable[tuple[Term, complex]]) -> list[Term]:
+    """Add each (key, coefficient) into `terms` in order; return the keys touched.
+
+    Every sum of terms goes through here, so it alone decides when a
+    coefficient is zero: a touched key whose |c| <= PRUNE_EPS is dropped.
+    New keys go to the end and start from 0j, so a -0.0 part reads 0.0.
+    """
+    touched = []
+    for key, coeff in pairs:
+        terms[key] = terms.get(key, 0j) + complex(coeff)
+        touched.append(key)
+    for key in touched:
+        if key in terms and abs(terms[key]) <= PRUNE_EPS:
+            del terms[key]
+    return touched
+
+
 class TokenState:
     """A polynomial over tokens: like terms merged, zero terms pruned.
 
@@ -102,11 +119,9 @@ class TokenState:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Term, complex] | Iterable[tuple[complex, Iterable[Token]]] = ()):
-        acc: dict[Term, complex] = {}
-        pairs = terms.items() if isinstance(terms, Mapping) else ((term_key(toks), complex(c)) for c, toks in terms)
-        for key, coeff in pairs:
-            acc[key] = acc.get(key, 0j) + complex(coeff)
-        self.terms = {k: v for k, v in acc.items() if abs(v) > PRUNE_EPS}
+        pairs = terms.items() if isinstance(terms, Mapping) else ((term_key(toks), c) for c, toks in terms)
+        self.terms: dict[Term, complex] = {}
+        _accumulate(self.terms, pairs)
 
     @classmethod
     def single(cls, coeff: complex, tokens: Iterable[Token]) -> "TokenState":
@@ -135,10 +150,9 @@ class TokenState:
         return self.deviation(other) <= atol
 
     def __add__(self, other: "TokenState") -> "TokenState":
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc.get(k, 0j) + v
-        return TokenState(acc)
+        out = TokenState(self.terms)
+        _accumulate(out.terms, other.terms.items())
+        return out
 
     def scaled(self, factor: complex) -> "TokenState":
         return TokenState({k: v * factor for k, v in self.terms.items()})
@@ -311,12 +325,7 @@ def diffuse_once(
     rest = _remove_one(term, token)
     terms = dict(s.terms)
     del terms[term]
-    keys = [term_key(rest + emitted) for _, emitted in branches]
-    for (factor, _), key in zip(branches, keys):
-        terms[key] = terms.get(key, 0j) + complex(coeff * factor)
-    for key in keys:
-        if key in terms and abs(terms[key]) <= PRUNE_EPS:
-            del terms[key]
+    _accumulate(terms, ((term_key(rest + emitted), coeff * factor) for factor, emitted in branches))
     out = TokenState.__new__(TokenState)
     out.terms = terms
     return out
@@ -395,7 +404,8 @@ def _collide_dirty(
     order, so the keys before the first colliding one keep their place
     and only the keys from there to the end are re-added.  Once the state
     is collision-free, colliding keys are new branch terms at the end of
-    the dict, so that tail is a handful of keys.  Returns the records and
+    the dict, so that tail is a handful of keys.  Both sum the survivors
+    through `_accumulate`, so they prune alike.  Returns the records and
     every key re-added or created.
     """
     hits = {}
@@ -417,17 +427,13 @@ def _collide_dirty(
     tail.reverse()
     coeffs = [terms.pop(key) for key in tail]
     records: list[Collision] = []
-    added: list[Term] = []
+    survivors: list[tuple[Term, complex]] = []
     for key, coeff in zip(tail, coeffs):
         factor, survivor, recs = hits.get(key, (1.0 + 0j, key, ()))
         records.extend(recs)
         if factor != 0:
-            terms[survivor] = terms.get(survivor, 0j) + complex(coeff * factor)
-            added.append(survivor)
-    for key in added:
-        if key in terms and abs(terms[key]) <= PRUNE_EPS:
-            del terms[key]
-    return tuple(records), tail + added
+            survivors.append((survivor, coeff * factor))
+    return tuple(records), tail + _accumulate(terms, survivors)
 
 
 # -- schedulers -------------------------------------------------------------
@@ -1033,7 +1039,9 @@ def extract_state(
     from .diagram import connected_components
 
     if len(connected_components(d)) > 1:
-        raise DiagramError("diagram is disconnected; use extract_matrix_general")
+        raise DiagramError(
+            "diagram is disconnected, so one seed edge cannot reach every piece; extract without a seed edge"
+        )
     if not d.edge_order:
         raise DiagramError("diagram has no edge to seed")
     edge = seed_edge if seed_edge is not None else d.edge_order[0]

@@ -111,6 +111,10 @@ class TestInterp:
         code, _, err = run_main(capsys, "interp", str(tmp_path / "absent.zxd"))
         assert code == 2 and err.startswith("error: cannot read")
 
+    def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path, cnot_zxd):
+        code, _, err = run_main(capsys, "interp", cnot_zxd, "--out", str(tmp_path))
+        assert code == 2 and err.startswith("error: cannot write")
+
 
 class TestRun:
     def test_bitstring_input(self, capsys, cnot_zxd):
@@ -143,6 +147,11 @@ class TestRun:
         assert code == 0
         tr = parse_trace(target.read_text())
         assert len(tr) >= 1 and tr.final == parse_state(out)
+
+    def test_trace_into_a_missing_directory_exits_2(self, capsys, tmp_path, cnot_zxd):
+        target = tmp_path / "absent" / "t.jsonl"
+        code, _, err = run_main(capsys, "run", cnot_zxd, "--input", "10", "--trace", str(target))
+        assert code == 2 and err.startswith("error: cannot write")
 
     def test_scheduler_flag(self, capsys, cnot_zxd):
         code, out, _ = run_main(capsys, "run", cnot_zxd, "--input", "10", "--scheduler", "random:3")
@@ -244,6 +253,13 @@ class TestExtract:
         want = interp_cpm(parse_dsl(p.read_text()))
         assert np.allclose(parse_matrix(out), want, atol=1e-9)
 
+    def test_seed_edge_on_a_disconnected_diagram_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "pieces.zxd"
+        p.write_text(f"Z(0,0,pi/2) * (swap ; (({MEAS_DSL}) * id))")
+        code, _, err = run_main(capsys, "extract", str(p), "--seed-edge", "a2")
+        assert code == 2 and err.startswith("error:")
+        assert "without a seed edge" in err and "extract_matrix_general" not in err
+
     def test_unknown_seed_edge(self, capsys, cnot_zxj):
         code, _, err = run_main(capsys, "extract", cnot_zxj, "--seed-edge", "nope")
         assert code == 2 and err.startswith("error:")
@@ -312,6 +328,12 @@ class TestCheck:
     def test_config_rejects_negative_sizes(self, capsys, key):
         code, _, err = run_main(capsys, "check", "--random", f"{key}=-1")
         assert code == 2 and err.startswith("error:") and "negative" in err
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "-1"), ("--trials", "0"), ("--jobs", "-2")])
+    def test_counts_below_one_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "--random", "max_generators=3", flag, value])
+        assert e.value.code == 2 and "positive integer" in capsys.readouterr().err
 
 
 class TestParser:
